@@ -20,9 +20,10 @@
 //! `UT(Γ) ≤ m(1 − umax) + umax` — see [`crate::mp::GfbTest`] and the
 //! `mp_reduction` integration tests.
 
+use crate::batch::ScratchSpace;
 use crate::report::{TaskCheck, TestReport, Verdict};
 use crate::traits::{precondition_reject, SchedTest};
-use fpga_rt_model::{Fpga, TaskSet, Time};
+use fpga_rt_model::{Fpga, TaskId, TaskSet, Time};
 use serde::{Deserialize, Serialize};
 
 /// Which area bound the DP test uses in overload situations.
@@ -43,7 +44,21 @@ pub struct DpConfig {
     pub area_bound: DpAreaBound,
 }
 
-/// Theorem 1 of the paper. See the [module docs](self) for the formula.
+impl DpConfig {
+    /// The busy-area bound `Abnd = A(H) − Amax (+ 1)` in columns.
+    #[inline]
+    pub fn area_bound(self, columns: u32, amax: u32) -> i64 {
+        let base = i64::from(columns) - i64::from(amax);
+        match self.area_bound {
+            DpAreaBound::IntegerColumns => base + 1,
+            DpAreaBound::RealValued => base,
+        }
+    }
+}
+
+/// Theorem 1 of the paper. See the [module docs](self) for the formula;
+/// the verdict is computed by the analysis kernel ([`crate::batch`]), and
+/// this type renders it as a [`TestReport`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DpTest {
     config: DpConfig,
@@ -64,15 +79,6 @@ impl DpTest {
     pub fn config(&self) -> DpConfig {
         self.config
     }
-
-    /// The busy-area bound `A(H) − Amax (+ 1)` as a [`Time`] value.
-    fn area_bound<T: Time>(&self, taskset: &TaskSet<impl Time>, device: &Fpga) -> T {
-        let base = i64::from(device.columns()) - i64::from(taskset.amax());
-        match self.config.area_bound {
-            DpAreaBound::IntegerColumns => T::from_i64(base + 1),
-            DpAreaBound::RealValued => T::from_i64(base),
-        }
-    }
 }
 
 impl<T: Time> SchedTest<T> for DpTest {
@@ -88,37 +94,34 @@ impl<T: Time> SchedTest<T> for DpTest {
         if let Some(rep) = precondition_reject(&name, taskset, device) {
             return rep;
         }
+        let mut rows = Vec::new();
+        let verdict = ScratchSpace::new().load(taskset).dp(device, self.config, &mut rows);
+        let abnd = self.config.area_bound(device.columns(), taskset.amax());
+        let checks = rows
+            .iter()
+            .map(|r| {
+                let id = TaskId(r.task);
+                TaskCheck {
+                    task: id,
+                    passed: r.passed,
+                    lhs: r.lhs,
+                    rhs: r.rhs,
+                    note: format!("US(Γ) ≤ Abnd·(1−UT({id})) + US({id}), Abnd={}", abnd as f64),
+                }
+            })
+            .collect();
+        let verdict = match rows.last() {
+            Some(r) if !verdict.accepted => Verdict::rejected(
+                Some(TaskId(r.task)),
+                format!("US(Γ)={:.6} exceeds bound {:.6} at {}", r.lhs, r.rhs, TaskId(r.task)),
+            ),
+            _ => Verdict::Accepted,
+        };
+        TestReport { test: name, verdict, checks }
+    }
 
-        let abnd: T = self.area_bound::<T>(taskset, device);
-        let us_total = taskset.system_utilization();
-        let mut checks = Vec::with_capacity(taskset.len());
-
-        for (id, t) in taskset.iter() {
-            let rhs = abnd * (T::ONE - t.time_utilization()) + t.system_utilization();
-            let passed = us_total <= rhs;
-            checks.push(TaskCheck {
-                task: id,
-                passed,
-                lhs: us_total.to_f64(),
-                rhs: rhs.to_f64(),
-                note: format!("US(Γ) ≤ Abnd·(1−UT({id})) + US({id}), Abnd={}", abnd.to_f64()),
-            });
-            if !passed {
-                return TestReport {
-                    test: name,
-                    verdict: Verdict::rejected(
-                        Some(id),
-                        format!(
-                            "US(Γ)={:.6} exceeds bound {:.6} at {id}",
-                            us_total.to_f64(),
-                            rhs.to_f64()
-                        ),
-                    ),
-                    checks,
-                };
-            }
-        }
-        TestReport { test: name, verdict: Verdict::Accepted, checks }
+    fn is_schedulable(&self, taskset: &TaskSet<T>, device: &Fpga) -> bool {
+        ScratchSpace::new().load(taskset).dp(device, self.config, &mut ()).accepted
     }
 }
 

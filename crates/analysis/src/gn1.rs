@@ -26,9 +26,10 @@
 //!   divides by `Dk`. The BCL-faithful denominator is available via
 //!   [`Gn1BetaDenominator::WindowDk`] for the ablation study (X1).
 
+use crate::batch::ScratchSpace;
 use crate::report::{TaskCheck, TestReport, Verdict};
 use crate::traits::{precondition_reject, SchedTest};
-use fpga_rt_model::{Fpga, Task, TaskSet, Time};
+use fpga_rt_model::{Fpga, TaskId, TaskSet, Time};
 use serde::{Deserialize, Serialize};
 
 /// Denominator used when converting the interference workload `Wi` into the
@@ -54,13 +55,29 @@ pub struct Gn1Config {
     pub beta_denominator: Gn1BetaDenominator,
 }
 
+impl Gn1Config {
+    /// The per-task busy-area bound `A(H) − Ak (+ 1)` in columns.
+    #[inline]
+    pub fn area_bound(self, columns: u32, ak: u32) -> i64 {
+        let base = i64::from(columns) - i64::from(ak);
+        if self.rhs_plus_one {
+            base + 1
+        } else {
+            base
+        }
+    }
+}
+
 impl Default for Gn1Config {
     fn default() -> Self {
         Gn1Config { rhs_plus_one: true, beta_denominator: Gn1BetaDenominator::InterferingDi }
     }
 }
 
-/// Theorem 2 of the paper. See the [module docs](self) for the formula.
+/// Theorem 2 of the paper. See the [module docs](self) for the formula;
+/// the verdict is computed by the analysis kernel ([`crate::batch`], with
+/// Lemma 4 in [`crate::batch::workload_bound`]), and this type renders it
+/// as a [`TestReport`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Gn1Test {
     config: Gn1Config,
@@ -84,141 +101,6 @@ impl Gn1Test {
     pub fn config(&self) -> Gn1Config {
         self.config
     }
-
-    /// [`SchedTest::check`] with the per-task [`Gn1Agg`] values supplied by
-    /// the caller (`aggs[i]` must be [`Gn1Agg::of`]`(taskset.task(i))`).
-    ///
-    /// This is the *only* evaluation path — the trait `check` derives the
-    /// aggregates and delegates here — so scratch and warm invocations are
-    /// structurally bit-identical.
-    pub fn check_with_aggregates<T: Time>(
-        &self,
-        taskset: &TaskSet<T>,
-        device: &Fpga,
-        aggs: &[Gn1Agg<T>],
-    ) -> TestReport {
-        debug_assert_eq!(aggs.len(), taskset.len());
-        let name = SchedTest::<T>::name(self).to_string();
-        if let Some(rep) = precondition_reject(&name, taskset, device) {
-            return rep;
-        }
-
-        let mut checks = Vec::with_capacity(aggs.len());
-        for (k, tk) in aggs.iter().enumerate() {
-            let k = fpga_rt_model::TaskId(k);
-            let slack_ratio = T::ONE - tk.density; // 1 − Ck/Dk ≥ 0 (precondition)
-            let abnd_base = i64::from(device.columns()) - i64::from(tk.area);
-            let abnd =
-                T::from_i64(if self.config.rhs_plus_one { abnd_base + 1 } else { abnd_base });
-
-            let mut lhs = T::ZERO;
-            for (i, ti) in aggs.iter().enumerate() {
-                if i == k.0 {
-                    continue;
-                }
-                let w = ti.time_work(tk.deadline);
-                let denom = match self.config.beta_denominator {
-                    Gn1BetaDenominator::InterferingDi => ti.deadline,
-                    Gn1BetaDenominator::WindowDk => tk.deadline,
-                };
-                let beta = w / denom;
-                lhs = lhs + ti.area_t * beta.min_t(slack_ratio);
-            }
-            let rhs = abnd * slack_ratio;
-            let passed = lhs < rhs;
-            checks.push(TaskCheck {
-                task: k,
-                passed,
-                lhs: lhs.to_f64(),
-                rhs: rhs.to_f64(),
-                note: format!("Σ Ai·min(βi, 1−Ck/Dk) < {}·(1−Ck/Dk)", abnd.to_f64()),
-            });
-            if !passed {
-                return TestReport {
-                    test: name,
-                    verdict: Verdict::rejected(
-                        Some(k),
-                        format!(
-                            "interference {:.6} not below bound {:.6} at {k}",
-                            lhs.to_f64(),
-                            rhs.to_f64()
-                        ),
-                    ),
-                    checks,
-                };
-            }
-        }
-        TestReport { test: name, verdict: Verdict::Accepted, checks }
-    }
-}
-
-/// The maximum number of jobs of `τi` completely contained in a window of
-/// length `Dk` when deadlines are aligned (BCL worst case):
-/// `Ni = ⌊(Dk − Di)/Ti⌋ + 1`, clamped at zero.
-pub fn job_count_ni<T: Time>(interfering: &Task<T>, dk: T) -> i64 {
-    let ni = ((dk - interfering.deadline()) / interfering.period()).floor_i64() + 1;
-    ni.max(0)
-}
-
-/// Upper bound on the *time work* of `τi` in a deadline-aligned window of
-/// length `Dk` (Lemma 4): `Wi = Ni·Ci + min(Ci, max(Dk − Ni·Ti, 0))`.
-pub fn time_work_bound<T: Time>(interfering: &Task<T>, dk: T) -> T {
-    let ni = T::from_i64(job_count_ni(interfering, dk));
-    let carry_in = interfering.exec().min_t((dk - ni * interfering.period()).max_zero());
-    ni * interfering.exec() + carry_in
-}
-
-/// Per-task values the GN1 inequality reads, precomputed once.
-///
-/// [`Gn1Test::check`] derives these from the taskset on every call; an
-/// admission controller's warm path keeps them alongside each live task
-/// (see `IncrementalState` in this crate) so a single-task delta reuses N−1
-/// of them. Each field is a pure per-task function, so a maintained
-/// aggregate is bit-identical to a freshly derived one — both feed the same
-/// [`Gn1Test::check_with_aggregates`] code path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Gn1Agg<T> {
-    /// `Ck`.
-    pub exec: T,
-    /// `Dk`.
-    pub deadline: T,
-    /// `Tk`.
-    pub period: T,
-    /// `Ak` as a [`Time`] value.
-    pub area_t: T,
-    /// `Ak` in columns.
-    pub area: u32,
-    /// `Ck / Dk`.
-    pub density: T,
-}
-
-impl<T: Time> Gn1Agg<T> {
-    /// The aggregate of one task.
-    pub fn of(task: &Task<T>) -> Self {
-        Gn1Agg {
-            exec: task.exec(),
-            deadline: task.deadline(),
-            period: task.period(),
-            area_t: task.area_t(),
-            area: task.area(),
-            density: task.density(),
-        }
-    }
-
-    /// `Ni` over a window of length `dk` (same computation as
-    /// [`job_count_ni`]).
-    fn job_count(&self, dk: T) -> i64 {
-        let ni = ((dk - self.deadline) / self.period).floor_i64() + 1;
-        ni.max(0)
-    }
-
-    /// `Wi` over a window of length `dk` (same computation as
-    /// [`time_work_bound`]).
-    fn time_work(&self, dk: T) -> T {
-        let ni = T::from_i64(self.job_count(dk));
-        let carry_in = self.exec.min_t((dk - ni * self.period).max_zero());
-        ni * self.exec + carry_in
-    }
 }
 
 impl<T: Time> SchedTest<T> for Gn1Test {
@@ -230,8 +112,42 @@ impl<T: Time> SchedTest<T> for Gn1Test {
     }
 
     fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
-        let aggs: Vec<Gn1Agg<T>> = taskset.tasks().iter().map(Gn1Agg::of).collect();
-        self.check_with_aggregates(taskset, device, &aggs)
+        let name = SchedTest::<T>::name(self).to_string();
+        if let Some(rep) = precondition_reject(&name, taskset, device) {
+            return rep;
+        }
+        let mut rows = Vec::new();
+        let verdict = ScratchSpace::new().load(taskset).gn1(device, self.config, &mut rows);
+        let checks = rows
+            .iter()
+            .map(|r| {
+                let abnd = self.config.area_bound(device.columns(), taskset.task(r.task).area());
+                TaskCheck {
+                    task: TaskId(r.task),
+                    passed: r.passed,
+                    lhs: r.lhs,
+                    rhs: r.rhs,
+                    note: format!("Σ Ai·min(βi, 1−Ck/Dk) < {}·(1−Ck/Dk)", abnd as f64),
+                }
+            })
+            .collect();
+        let verdict = match rows.last() {
+            Some(r) if !verdict.accepted => Verdict::rejected(
+                Some(TaskId(r.task)),
+                format!(
+                    "interference {:.6} not below bound {:.6} at {}",
+                    r.lhs,
+                    r.rhs,
+                    TaskId(r.task)
+                ),
+            ),
+            _ => Verdict::Accepted,
+        };
+        TestReport { test: name, verdict, checks }
+    }
+
+    fn is_schedulable(&self, taskset: &TaskSet<T>, device: &Fpga) -> bool {
+        ScratchSpace::new().load(taskset).gn1(device, self.config, &mut ()).accepted
     }
 }
 
@@ -252,24 +168,6 @@ mod tests {
     }
     fn table3() -> TaskSet<f64> {
         TaskSet::try_from_tuples(&[(2.10, 5.0, 5.0, 7), (2.00, 7.0, 7.0, 7)]).unwrap()
-    }
-
-    #[test]
-    fn job_count_matches_paper() {
-        // Table 3, k=2: N1 = ⌊(7−5)/5⌋ + 1 = 1.
-        let ts = table3();
-        assert_eq!(job_count_ni(ts.task(0), 7.0), 1);
-        // Table 2, k=1: N2 = ⌊(8−9)/9⌋ + 1 = 0 (clamped computation).
-        let ts = table2();
-        assert_eq!(job_count_ni(ts.task(1), 8.0), 0);
-    }
-
-    #[test]
-    fn time_work_matches_paper_table3() {
-        // Table 3, k=2: W1 = 1·2.1 + min(2.1, max(7−5, 0)) = 4.1 → β1 = 4.1/5.
-        let ts = table3();
-        let w = time_work_bound(ts.task(0), 7.0);
-        assert!((w - 4.1).abs() < 1e-12);
     }
 
     #[test]
@@ -321,8 +219,7 @@ mod tests {
         // paper's Table 3, τ1 interfering with τ2 gives β = 4.1/5 (paper,
         // Di = 5) vs 4.1/7 (BCL, Dk = 7). Neither variant dominates in
         // general: Wi/Dk is smaller when Di < Dk and larger when Di > Dk.
-        let ts = table3();
-        let w = time_work_bound(ts.task(0), 7.0);
+        let w = crate::batch::workload_bound(2.1, 5.0, 5.0, 7.0);
         assert!((w / 5.0 - 0.82).abs() < 1e-12, "paper β with Di");
         assert!((w / 7.0 - 4.1 / 7.0).abs() < 1e-12, "BCL β with Dk");
         // The choice is consequential: on Table 1 the paper's Di

@@ -44,9 +44,10 @@
 //!   between candidate points, and condition 2's right-hand side grows with
 //!   λ, so the grid search accepts strictly more tasksets.
 
+use crate::batch::ScratchSpace;
 use crate::report::{TaskCheck, TestReport, Verdict};
 use crate::traits::{precondition_reject, SchedTest};
-use fpga_rt_model::{Fpga, Task, TaskSet, Time};
+use fpga_rt_model::{Fpga, TaskId, TaskSet, Time};
 use serde::{Deserialize, Serialize};
 
 /// Value of `βλk(i)` in the middle case (`ui > λ ∧ λ ≥ Ci/Di`).
@@ -99,39 +100,13 @@ impl Default for Gn2Config {
     }
 }
 
-/// Theorem 3 of the paper. See the [module docs](self) for the formulas.
+/// Theorem 3 of the paper. See the [module docs](self) for the formulas;
+/// the verdict is computed by the analysis kernel ([`crate::batch`], with
+/// Lemma 7 in [`crate::batch::beta_lambda`]), and this type renders it as
+/// a [`TestReport`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Gn2Test {
     config: Gn2Config,
-}
-
-/// Sort ascending and deduplicate a list of λ values in place.
-fn sort_dedup<T: Time>(v: &mut Vec<T>) {
-    v.sort_by(|a, b| a.partial_cmp(b).expect("validated times are ordered"));
-    v.dedup_by(|a, b| a == b);
-}
-
-/// The global λ-candidate pool of a taskset:
-/// `{Ci/Ti} ∪ {Ci/Di : Di > Ti}` over **all** tasks, sorted ascending and
-/// deduplicated.
-///
-/// Every per-task candidate list of [`Gn2Test::lambda_candidates`] is a
-/// contiguous slice of this pool (each task's own `Ck/Tk` is a pool member,
-/// so the `λ ≥ Ck/Tk` filter is a `partition_point`). That slice structure
-/// is what lets an admission controller maintain the pool incrementally
-/// across admit/release churn — one sorted insert/remove per delta instead
-/// of an O(N log N) re-sort per task per check (see `IncrementalState` in
-/// this crate).
-pub fn lambda_pool<T: Time>(taskset: &TaskSet<T>) -> Vec<T> {
-    let mut pool: Vec<T> = Vec::with_capacity(2 * taskset.len());
-    for t in taskset {
-        pool.push(t.time_utilization());
-        if t.deadline() > t.period() {
-            pool.push(t.density());
-        }
-    }
-    sort_dedup(&mut pool);
-    pool
 }
 
 /// One evaluated λ candidate for one task τk — the raw material of the
@@ -187,206 +162,11 @@ impl Gn2Test {
         self.config
     }
 
-    /// `βλk(i)` — the per-task demand ratio of `τi` over `τk`'s λ-extended
-    /// busy window (Lemma 7), with the configured case-2 value:
-    ///
-    /// ```text
-    ///            ⎧ max(ui, ui·(1 − Di/Dk) + Ci/Dk)   if ui ≤ λ     (case 1)
-    /// βλk(i) =   ⎨ λ  (Baker) / Ck/Tk (paper)        if ui > λ ∧ λ ≥ Ci/Di
-    ///            ⎩ ui + (Ci − λ·Di)/Dk               if ui > λ ∧ λ < Ci/Di
-    /// ```
-    ///
-    /// where `ui = Ci/Ti`. Case 2 only fires for post-period deadlines
-    /// (`Di > Ti`); see the module's faithfulness notes for the
-    /// Baker-vs-paper discrepancy.
-    pub fn beta_lambda<T: Time>(&self, ti: &Task<T>, tk: &Task<T>, lambda: T) -> T {
-        let ui = ti.time_utilization();
-        let dk = tk.deadline();
-        if ui <= lambda {
-            let extended = ui * (T::ONE - ti.deadline() / dk) + ti.exec() / dk;
-            ui.max_t(extended)
-        } else if lambda >= ti.density() {
-            match self.config.case2 {
-                Gn2Case2::BakerLambda => lambda,
-                Gn2Case2::PaperCkTk => tk.time_utilization(),
-            }
-        } else {
-            ui + (ti.exec() - lambda * ti.deadline()) / dk
-        }
-    }
-
     /// The λ candidates examined for task `k`, sorted ascending and
     /// deduplicated: discontinuity points of `βλk` plus grid points when
     /// configured, filtered to `λ ≥ Ck/Tk` and `λk ≤ 1`.
     pub fn lambda_candidates<T: Time>(&self, taskset: &TaskSet<T>, k: usize) -> Vec<T> {
-        self.lambda_candidates_with_pool(taskset, k, &lambda_pool(taskset))
-    }
-
-    /// [`Gn2Test::lambda_candidates`] with the global [`lambda_pool`]
-    /// supplied by the caller (`pool` must equal `lambda_pool(taskset)`).
-    ///
-    /// The paper points are the slice of the pool inside `[Ck/Tk, λmax]`
-    /// (`λmax = 1/max(1, Tk/Dk)`); a sorted+deduped slice of a sorted,
-    /// deduped pool *is* the sorted+deduped filtered candidate multiset, so
-    /// this returns bit-identical results to building the list per task.
-    /// Grid points, which depend on `Ck/Tk`, are still generated per task.
-    pub fn lambda_candidates_with_pool<T: Time>(
-        &self,
-        taskset: &TaskSet<T>,
-        k: usize,
-        pool: &[T],
-    ) -> Vec<T> {
-        let tk = taskset.task(k);
-        let uk = tk.time_utilization();
-        // λk = λ·max(1, Tk/Dk) ≤ 1  ⇔  λ ≤ min(1, Dk/Tk)
-        let scale = (tk.period() / tk.deadline()).max_t(T::ONE);
-        let lambda_max = T::ONE / scale;
-
-        let lo = pool.partition_point(|&l| l < uk);
-        let hi = pool.partition_point(|&l| l <= lambda_max);
-        let mut cands: Vec<T> = if hi > lo { pool[lo..hi].to_vec() } else { Vec::new() };
-        if let Gn2LambdaSearch::Grid { points } = self.config.lambda_search {
-            if points > 0 && lambda_max > uk {
-                let n = T::from_i64(points as i64);
-                let step = (lambda_max - uk) / n;
-                let mut v = uk;
-                for _ in 0..=points {
-                    cands.push(v);
-                    v = v + step;
-                }
-                cands.retain(|&l| l >= uk && l <= lambda_max);
-                sort_dedup(&mut cands);
-            }
-        }
-        cands
-    }
-
-    /// Evaluate both conditions of Theorem 3 for task `k` at one λ,
-    /// returning the full [`Gn2Attempt`] (λk, both sides of both
-    /// inequalities, all βλk values):
-    ///
-    /// ```text
-    /// (1)  Σ_i Ai·min(βλk(i), 1 − λk)  <  Abnd·(1 − λk)
-    /// (2)  Σ_i Ai·min(βλk(i), 1)       <  (Abnd − Amin)·(1 − λk) + Amin
-    /// Abnd = A(H) − Amax + 1 ,  λk = λ·max(1, Tk/Dk)
-    /// ```
-    ///
-    /// Task `k` passes at this λ when either condition holds (condition 2
-    /// is evaluated non-strictly when [`Gn2Config::condition2_strict`] is
-    /// `false`).
-    pub fn evaluate_lambda<T: Time>(
-        &self,
-        taskset: &TaskSet<T>,
-        device: &Fpga,
-        k: usize,
-        lambda: T,
-    ) -> Gn2Attempt {
-        let tk = taskset.task(k);
-        let scale = (tk.period() / tk.deadline()).max_t(T::ONE);
-        let lambda_k = lambda * scale;
-        let one_minus = T::ONE - lambda_k;
-        let abnd = T::from_i64(i64::from(device.columns()) - i64::from(taskset.amax()) + 1);
-        let amin = T::from_u32(taskset.amin());
-
-        let mut lhs1 = T::ZERO;
-        let mut lhs2 = T::ZERO;
-        let mut betas = Vec::with_capacity(taskset.len());
-        for ti in taskset {
-            let beta = self.beta_lambda(ti, tk, lambda);
-            betas.push(beta.to_f64());
-            let a = ti.area_t();
-            lhs1 = lhs1 + a * beta.min_t(one_minus);
-            lhs2 = lhs2 + a * beta.min_t(T::ONE);
-        }
-        let rhs1 = abnd * one_minus;
-        let rhs2 = (abnd - amin) * one_minus + amin;
-        let cond1 = lhs1 < rhs1;
-        let cond2 = if self.config.condition2_strict { lhs2 < rhs2 } else { lhs2 <= rhs2 };
-        Gn2Attempt {
-            lambda: lambda.to_f64(),
-            lambda_k: lambda_k.to_f64(),
-            lhs1: lhs1.to_f64(),
-            rhs1: rhs1.to_f64(),
-            cond1,
-            lhs2: lhs2.to_f64(),
-            rhs2: rhs2.to_f64(),
-            cond2,
-            betas,
-        }
-    }
-
-    /// [`SchedTest::check`] with the global [`lambda_pool`] supplied by the
-    /// caller (`pool` must equal `lambda_pool(taskset)`).
-    ///
-    /// This is the *only* evaluation path — the trait `check` builds the
-    /// pool and delegates here — so an admission controller feeding an
-    /// incrementally-maintained pool gets structurally bit-identical
-    /// reports.
-    pub fn check_with_pool<T: Time>(
-        &self,
-        taskset: &TaskSet<T>,
-        device: &Fpga,
-        pool: &[T],
-    ) -> TestReport {
-        let name = SchedTest::<T>::name(self).to_string();
-        if let Some(rep) = precondition_reject(&name, taskset, device) {
-            return rep;
-        }
-
-        let mut checks = Vec::with_capacity(taskset.len());
-        for k in 0..taskset.len() {
-            let candidates = self.lambda_candidates_with_pool(taskset, k, pool);
-            let mut passing: Option<Gn2Attempt> = None;
-            let mut best: Option<Gn2Attempt> = None;
-            for lambda in candidates {
-                let attempt = self.evaluate_lambda(taskset, device, k, lambda);
-                let ok = attempt.cond1 || attempt.cond2;
-                // Track the attempt with the smallest condition-2 deficit for
-                // diagnostics when everything fails.
-                let better = match &best {
-                    None => true,
-                    Some(b) => attempt.lhs2 - attempt.rhs2 < b.lhs2 - b.rhs2,
-                };
-                if better {
-                    best = Some(attempt.clone());
-                }
-                if ok {
-                    passing = Some(attempt);
-                    break;
-                }
-            }
-            let id = fpga_rt_model::TaskId(k);
-            match passing {
-                Some(a) => {
-                    let via = if a.cond1 { "cond1" } else { "cond2" };
-                    checks.push(TaskCheck {
-                        task: id,
-                        passed: true,
-                        lhs: if a.cond1 { a.lhs1 } else { a.lhs2 },
-                        rhs: if a.cond1 { a.rhs1 } else { a.rhs2 },
-                        note: format!("{via} holds at λ={:.6}", a.lambda),
-                    });
-                }
-                None => {
-                    let (lhs, rhs, note) = match best {
-                        Some(b) => {
-                            (b.lhs2, b.rhs2, format!("no λ works; closest at λ={:.6}", b.lambda))
-                        }
-                        None => (f64::INFINITY, 0.0, "no feasible λ candidate".to_string()),
-                    };
-                    checks.push(TaskCheck { task: id, passed: false, lhs, rhs, note });
-                    return TestReport {
-                        test: name,
-                        verdict: Verdict::rejected(
-                            Some(id),
-                            format!("no λ satisfies condition 1 or 2 for {id}"),
-                        ),
-                        checks,
-                    };
-                }
-            }
-        }
-        TestReport { test: name, verdict: Verdict::Accepted, checks }
+        ScratchSpace::new().load(taskset).lambda_candidates(self.config, k)
     }
 
     /// All attempts for task `k`, in candidate order — used by the
@@ -397,10 +177,7 @@ impl Gn2Test {
         device: &Fpga,
         k: usize,
     ) -> Vec<Gn2Attempt> {
-        self.lambda_candidates(taskset, k)
-            .into_iter()
-            .map(|l| self.evaluate_lambda(taskset, device, k, l))
-            .collect()
+        ScratchSpace::new().load(taskset).gn2_attempts(device, self.config, k)
     }
 }
 
@@ -414,7 +191,38 @@ impl<T: Time> SchedTest<T> for Gn2Test {
     }
 
     fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
-        self.check_with_pool(taskset, device, &lambda_pool(taskset))
+        let name = SchedTest::<T>::name(self).to_string();
+        if let Some(rep) = precondition_reject(&name, taskset, device) {
+            return rep;
+        }
+        let mut rows = Vec::new();
+        let verdict = ScratchSpace::new().load(taskset).gn2(device, self.config, &mut rows);
+        let checks = rows
+            .iter()
+            .map(|r| {
+                let note = match (r.passed, r.lambda) {
+                    (true, Some(lambda)) => {
+                        let via = if r.cond1 { "cond1" } else { "cond2" };
+                        format!("{via} holds at λ={lambda:.6}")
+                    }
+                    (false, Some(lambda)) => format!("no λ works; closest at λ={lambda:.6}"),
+                    (_, None) => "no feasible λ candidate".to_string(),
+                };
+                TaskCheck { task: TaskId(r.task), passed: r.passed, lhs: r.lhs, rhs: r.rhs, note }
+            })
+            .collect();
+        let verdict = match rows.last() {
+            Some(r) if !verdict.accepted => Verdict::rejected(
+                Some(TaskId(r.task)),
+                format!("no λ satisfies condition 1 or 2 for {}", TaskId(r.task)),
+            ),
+            _ => Verdict::Accepted,
+        };
+        TestReport { test: name, verdict, checks }
+    }
+
+    fn is_schedulable(&self, taskset: &TaskSet<T>, device: &Fpga) -> bool {
+        ScratchSpace::new().load(taskset).gn2(device, self.config, &mut ()).accepted
     }
 }
 
@@ -450,12 +258,11 @@ mod tests {
     fn beta_values_match_paper_table3() {
         // k=1, λ = C1/T1 = 0.42: βλ1(1) = 0.42, βλ1(2) = 2/7 ≈ 0.2857
         // (the paper rounds to 0.29).
-        let ts = table3();
-        let test = Gn2Test::default();
-        let b11 = test.beta_lambda(ts.task(0), ts.task(0), 0.42);
-        let b12 = test.beta_lambda(ts.task(1), ts.task(0), 0.42);
-        assert!((b11 - 0.42).abs() < 1e-12);
-        assert!((b12 - 2.0 / 7.0).abs() < 1e-12);
+        let attempts = Gn2Test::default().attempts_for_task(&table3(), &fpga10(), 0);
+        let betas = &attempts[0].betas;
+        assert!((attempts[0].lambda - 0.42).abs() < 1e-12);
+        assert!((betas[0] - 0.42).abs() < 1e-12);
+        assert!((betas[1] - 2.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
@@ -556,30 +363,6 @@ mod tests {
         let ts = table1();
         assert!(!Gn2Test::default().is_schedulable(&ts, &dev));
         assert!(Gn2Test::with_grid_search(256).is_schedulable(&ts, &dev));
-    }
-
-    #[test]
-    fn beta_case3_applies_for_heavy_interferer() {
-        // Table 2, k=1, λ = u1 = 0.5625: u2 = 8/9 > λ, λ < C2/D2 = 8/9 →
-        // case 3: β = 8/9 + (8 − 0.5625·9)/8 = 1.2561...
-        let ts = table2();
-        let test = Gn2Test::default();
-        let b = test.beta_lambda(ts.task(1), ts.task(0), 0.5625);
-        assert!((b - (8.0 / 9.0 + (8.0 - 0.5625 * 9.0) / 8.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn beta_case2_uses_configured_value() {
-        // Construct Di > Ti so case 2 can fire: τi = (C=4, D=8, T=5) → ui = 0.8,
-        // Ci/Di = 0.5. λ = 0.6 ∈ [0.5, 0.8).
-        let ts: TaskSet<f64> =
-            TaskSet::try_from_tuples(&[(4.0, 8.0, 5.0, 2), (1.0, 10.0, 10.0, 2)]).unwrap();
-        let baker = Gn2Test::default();
-        let paper = Gn2Test::new(Gn2Config { case2: Gn2Case2::PaperCkTk, ..Gn2Config::default() });
-        let ti = ts.task(0);
-        let tk = ts.task(1); // Ck/Tk = 0.1
-        assert_eq!(baker.beta_lambda(ti, tk, 0.6), 0.6);
-        assert_eq!(paper.beta_lambda(ti, tk, 0.6), 0.1);
     }
 
     #[test]

@@ -21,11 +21,13 @@
 //! * [`AnyOfTest`] — the composite the paper recommends in Section 6:
 //!   *"different schedulability bounds should be applied together, i.e.,
 //!   determine that a taskset is unschedulable only if all tests fail."*
-//! * [`batch`] — the hot-path kernel: [`BatchAnalyzer`] evaluates the
-//!   paper-default DP/GN1/GN2/AnyOf verdicts over structure-of-arrays
-//!   packed tasksets ([`TaskSetBatch`]) with zero per-taskset heap
-//!   allocation, bit-identical to the scalar tests (the sweep and
-//!   conformance engines ride this kernel).
+//! * [`batch`] — the analysis kernel, the one implementation of Theorems
+//!   1–3 (and of Lemmas 4 and 7): generic over [`fpga_rt_model::Time`],
+//!   configured by the tests' ablation settings, evaluating packed
+//!   structure-of-arrays tasksets ([`TaskSetBatch`], [`ScratchSpace`])
+//!   with zero per-taskset heap allocation. [`BatchAnalyzer`] runs the
+//!   paper-default suite for the sweep and conformance engines; the test
+//!   types above render the kernel's per-task rows as [`TestReport`]s.
 //! * [`IncrementalState`] — aggregate-caching online admission state for the
 //!   DP bound: O(1) re-checks against a mutating
 //!   [`fpga_rt_model::LiveTaskSet`], powering the `fpga-rt-service`
@@ -38,7 +40,7 @@
 //!
 //! Every test returns a structured [`TestReport`] carrying per-task margins
 //! for debugging and for the experiment harness; [`SchedTest::is_schedulable`]
-//! is the boolean convenience wrapper.
+//! is the boolean convenience wrapper (a kernel call without the rendering).
 //!
 //! `docs/THEORY.md` at the workspace root maps every theorem, lemma and
 //! equation of the paper to its implementing item in this crate, with the
@@ -77,13 +79,13 @@ pub mod report;
 pub mod traits;
 
 pub use batch::{
-    AnalysisKernel, AnalysisSeries, BatchAnalyzer, BatchVerdict, BatchVerdicts, ScratchSpace,
+    AnalysisSeries, BatchAnalyzer, BatchVerdict, BatchVerdicts, KernelRow, RowSink, ScratchSpace,
     TaskSetBatch,
 };
 pub use composite::{AllOfTest, AnyOfTest};
 pub use dp::{DpAreaBound, DpConfig, DpTest};
-pub use gn1::{Gn1Agg, Gn1BetaDenominator, Gn1Config, Gn1Test};
-pub use gn2::{lambda_pool, Gn2Case2, Gn2Config, Gn2LambdaSearch, Gn2Test};
+pub use gn1::{Gn1BetaDenominator, Gn1Config, Gn1Test};
+pub use gn2::{Gn2Attempt, Gn2Case2, Gn2Config, Gn2LambdaSearch, Gn2Test};
 pub use incremental::{IncrementalOutcome, IncrementalState};
 pub use necessary::NecessaryTest;
 pub use report::{TaskCheck, TestReport, Verdict};

@@ -13,10 +13,13 @@
 //! 3. **Reuse** — downstream users get classic multiprocessor tests for
 //!    free.
 //!
-//! All three are implemented from the original formulas, *not* by calling
-//! the FPGA code, so the reduction check is meaningful.
+//! Each test's inequality is written here from the original formulas, *not*
+//! by calling the FPGA tests, so the reduction check is meaningful. The
+//! per-interferer demand bounds they share with the FPGA tests — Lemma 4's
+//! workload bound and Lemma 7's βλk — are the kernel's
+//! ([`crate::batch::workload_bound`], [`crate::batch::beta_lambda`]).
 
-use crate::gn1::time_work_bound;
+use crate::batch::{beta_lambda, workload_bound, ScratchSpace};
 use crate::report::{TaskCheck, TestReport, Verdict};
 use crate::traits::SchedTest;
 use fpga_rt_model::{Fpga, TaskSet, Time};
@@ -86,7 +89,8 @@ impl<T: Time> SchedTest<T> for BclTest {
                 if i == k {
                     continue;
                 }
-                let beta = time_work_bound(ti, tk.deadline()) / tk.deadline();
+                let w = workload_bound(ti.exec(), ti.deadline(), ti.period(), tk.deadline());
+                let beta = w / tk.deadline();
                 lhs = lhs + beta.min_t(slack_ratio);
             }
             let rhs = m * slack_ratio;
@@ -133,12 +137,13 @@ impl<T: Time> SchedTest<T> for Bak2Test {
         // The CPU case is exactly the FPGA case with every area = 1 and
         // A(H) = m; we re-derive it here from the original formulas.
         let m = T::from_u32(device.columns());
-        let gn2 = crate::gn2::Gn2Test::default();
+        let mut scratch = ScratchSpace::new();
+        scratch.load(taskset);
         let mut checks = Vec::with_capacity(taskset.len());
         for k in 0..taskset.len() {
             let tk = taskset.task(k);
             let scale = (tk.period() / tk.deadline()).max_t(T::ONE);
-            let candidates = gn2.lambda_candidates(taskset, k);
+            let candidates = scratch.lambda_candidates(crate::Gn2Config::default(), k);
             let mut pass = None;
             for lambda in candidates {
                 let lambda_k = lambda * scale;
@@ -146,7 +151,10 @@ impl<T: Time> SchedTest<T> for Bak2Test {
                 let mut lhs1 = T::ZERO;
                 let mut lhs2 = T::ZERO;
                 for ti in taskset {
-                    let beta = gn2.beta_lambda(ti, tk, lambda);
+                    let (ci, di) = (ti.exec(), ti.deadline());
+                    let (ui, dk) = (ti.time_utilization(), tk.deadline());
+                    // Baker's λ in case 2.
+                    let beta = beta_lambda(ci, di, ui, ti.density(), dk, lambda, lambda);
                     lhs1 = lhs1 + beta.min_t(one_minus);
                     lhs2 = lhs2 + beta.min_t(T::ONE);
                 }

@@ -3,7 +3,8 @@
 //! about the three tests.
 
 use fpga_rt_analysis::{
-    AnyOfTest, DpTest, Gn1Test, Gn2LambdaSearch, Gn2Test, SchedTest, TestReport, Verdict,
+    AnyOfTest, DpTest, Gn1Test, Gn2Config, Gn2LambdaSearch, Gn2Test, SchedTest, ScratchSpace,
+    TestReport, Verdict,
 };
 use fpga_rt_model::{Fpga, TaskSet, Time};
 use proptest::prelude::*;
@@ -181,29 +182,33 @@ proptest! {
         }
     }
 
-    /// λ candidates are sorted, deduplicated, within [Ck/Tk, 1], and
-    /// contain Ck/Tk itself whenever it is feasible.
+    /// The kernel's λ-candidate window is sorted, deduplicated, within
+    /// [Ck/Tk, 1], and contains Ck/Tk itself whenever it is feasible — for
+    /// the paper points and for the grid search.
     #[test]
     fn lambda_candidates_are_canonical(ts in taskset(1..6), k_sel in 0usize..6) {
-        let dev = Fpga::new(40).unwrap();
-        let _ = &dev;
         let k = k_sel % ts.len();
-        let test = Gn2Test::default();
-        let cands = test.lambda_candidates(&ts, k);
         let uk = ts.task(k).time_utilization();
-        for w in cands.windows(2) {
-            prop_assert!(w[0] < w[1], "sorted+deduped");
-        }
-        for &l in &cands {
-            prop_assert!(l >= uk - 1e-12);
-            prop_assert!(l <= 1.0 + 1e-12);
-        }
-        if uk <= 1.0 {
-            prop_assert!(cands.iter().any(|&l| (l - uk).abs() < 1e-12));
-        }
-        match test.config().lambda_search {
-            Gn2LambdaSearch::PaperPoints => prop_assert!(cands.len() <= ts.len() * 2 + 1),
-            Gn2LambdaSearch::Grid { .. } => {}
+        let mut scratch = ScratchSpace::new();
+        scratch.load(&ts);
+        for config in [Gn2Config::default(), Gn2Test::with_grid_search(8).config()] {
+            let cands = scratch.lambda_candidates(config, k);
+            for w in cands.windows(2) {
+                prop_assert!(w[0] < w[1], "sorted+deduped");
+            }
+            for &l in &cands {
+                prop_assert!(l >= uk - 1e-12);
+                prop_assert!(l <= 1.0 + 1e-12);
+            }
+            if uk <= 1.0 {
+                prop_assert!(cands.iter().any(|&l| (l - uk).abs() < 1e-12));
+            }
+            match config.lambda_search {
+                Gn2LambdaSearch::PaperPoints => prop_assert!(cands.len() <= ts.len() * 2 + 1),
+                Gn2LambdaSearch::Grid { points } => {
+                    prop_assert!(cands.len() <= ts.len() * 2 + points + 1)
+                }
+            }
         }
     }
 

@@ -1,18 +1,10 @@
-//! `batch_analysis` — the SoA batch kernel against the scalar
-//! DP/GN1/GN2/AnyOf evaluators on fixed 256-taskset populations from every
-//! figure distribution.
-//!
-//! Both rows evaluate the identical verdicts (the kernel is bit-identical
-//! by contract, asserted by `crates/analysis/tests/batch_equiv.rs`), so
-//! the ratio is pure evaluator overhead: report/`format!` allocation, the
-//! composite's component re-runs, and per-λ scratch vectors on the scalar
-//! side versus one packed pass on the batch side. `kernel_report` prints
-//! the tasksets/sec ratio directly.
+//! `batch_analysis` — the analysis kernel's paper-default DP/GN1/GN2/AnyOf
+//! pass (`BatchAnalyzer::analyze_batch`) on fixed 256-taskset populations
+//! from every figure distribution, packing included.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpga_rt_analysis::{BatchAnalyzer, TaskSetBatch};
 use fpga_rt_bench::figure_tasksets;
-use fpga_rt_exp::sweep::analysis_evaluators_scalar;
 use fpga_rt_gen::FigureWorkload;
 use fpga_rt_model::TaskSet;
 use std::hint::black_box;
@@ -21,21 +13,6 @@ const POPULATION: usize = 256;
 
 fn population(workload: &FigureWorkload) -> Vec<TaskSet<f64>> {
     figure_tasksets(workload, POPULATION, 20070326)
-}
-
-/// Scalar reference: every evaluator of the `--kernel scalar` suite on
-/// every taskset.
-fn run_scalar(tasksets: &[TaskSet<f64>], device: &fpga_rt_model::Fpga) -> usize {
-    let evaluators = analysis_evaluators_scalar();
-    let mut accepted = 0usize;
-    for ts in tasksets {
-        for ev in &evaluators {
-            if ev.accepts(ts, device) {
-                accepted += 1;
-            }
-        }
-    }
-    accepted
 }
 
 /// Batch kernel: pack once into the reused SoA store, one pass for all
@@ -66,11 +43,6 @@ fn bench_kernels(c: &mut Criterion) {
     for workload in FigureWorkload::all() {
         let tasksets = population(&workload);
         let device = workload.device();
-        group.bench_with_input(
-            BenchmarkId::new("scalar", workload.id),
-            &tasksets,
-            |b, tasksets| b.iter(|| black_box(run_scalar(tasksets, &device))),
-        );
         let mut batch = TaskSetBatch::new();
         let mut out = Vec::new();
         group.bench_with_input(BenchmarkId::new("batch", workload.id), &tasksets, |b, tasksets| {
@@ -80,34 +52,5 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Direct tasksets/sec comparison per figure (the criterion shim only
-/// prints ns/iter).
-fn kernel_report(_c: &mut Criterion) {
-    for workload in FigureWorkload::all() {
-        let tasksets = population(&workload);
-        let device = workload.device();
-        let time = |f: &mut dyn FnMut() -> usize| -> f64 {
-            let mut best = f64::INFINITY;
-            for _ in 0..3 {
-                let start = std::time::Instant::now();
-                black_box(f());
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            best
-        };
-        let scalar = time(&mut || run_scalar(&tasksets, &device));
-        let mut batch = TaskSetBatch::new();
-        let mut out = Vec::new();
-        let batched = time(&mut || run_batch(&tasksets, &device, &mut batch, &mut out));
-        println!(
-            "batch_analysis: {:<6} scalar {:>9.0} ts/s, batch {:>9.0} ts/s ({:.2}x)",
-            workload.id,
-            POPULATION as f64 / scalar,
-            POPULATION as f64 / batched,
-            scalar / batched
-        );
-    }
-}
-
-criterion_group!(benches, bench_kernels, kernel_report);
+criterion_group!(benches, bench_kernels);
 criterion_main!(benches);

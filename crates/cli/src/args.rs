@@ -10,7 +10,6 @@
 //! a uniform usage error. The rejected forms are regression-tested once,
 //! centrally, in `commands.rs`.
 
-use fpga_rt_analysis::AnalysisKernel;
 use fpga_rt_exp::cli::Args;
 use fpga_rt_obs::{Obs, Snapshot};
 use fpga_rt_service::Endpoint;
@@ -93,17 +92,6 @@ pub(crate) fn connect_endpoint(args: &Args) -> Result<Endpoint, String> {
 /// garbage, the documented default when absent).
 pub(crate) fn seed(args: &Args, default: u64) -> Result<u64, String> {
     args.seed(default)
-}
-
-/// Parse `--kernel batch|scalar` (default batch). The two kernels are
-/// bit-identical by contract — the scalar path exists as an escape hatch
-/// and as the reference the batch kernel is cross-checked against.
-pub(crate) fn kernel_flag(args: &Args) -> Result<AnalysisKernel, String> {
-    match args.flags.get("kernel") {
-        None => Ok(AnalysisKernel::default()),
-        Some(v) => AnalysisKernel::parse(v)
-            .ok_or_else(|| format!("--kernel expects batch|scalar, got {v:?}")),
-    }
 }
 
 /// An artifact encoding, dispatched on the output file's extension.
@@ -249,8 +237,6 @@ mod tests {
             .contains("cannot parse"));
         assert_eq!(exact_margin(&args(&[])).unwrap(), 1e-9);
         assert_eq!(exact_margin(&args(&["--exact-margin", "0"])).unwrap(), 0.0);
-        // --kernel.
-        assert!(kernel_flag(&args(&["--kernel", "simd"])).unwrap_err().contains("batch|scalar"));
         // --listen / --connect endpoints.
         for bad in ["ftp://h:1", "tcp://:7411", "tcp://host", "unix://", "127.0.0.1:7411"] {
             let err = listen_endpoint(&args(&["--listen", bad])).unwrap_err();

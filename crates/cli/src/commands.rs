@@ -1,14 +1,14 @@
 //! Subcommand implementations.
 
 use crate::args::{
-    artifact_target, cache_entries, connect_endpoint, exact_margin, kernel_flag, listen_endpoint,
+    artifact_target, cache_entries, connect_endpoint, exact_margin, listen_endpoint,
     metrics_target, parsed_flag, positive_count, write_metrics, ArtifactFormat,
 };
 use crate::io::{device_from, taskset_from};
 use crate::ExitCode;
 use fpga_rt_analysis::{AnyOfTest, DpTest, Gn1Test, Gn2Test, NecessaryTest, SchedTest, TestReport};
 use fpga_rt_exp::cli::Args;
-use fpga_rt_exp::sweep::{analysis_evaluators_for, run_pool_sweep, PoolSweepConfig};
+use fpga_rt_exp::sweep::{analysis_evaluators, run_pool_sweep, PoolSweepConfig};
 use fpga_rt_gen::{FigureWorkload, TasksetSpec, UtilizationBins};
 use fpga_rt_model::{Fpga, Rat64, TaskSet};
 use fpga_rt_service::{
@@ -306,9 +306,7 @@ pub fn tables(out: &mut dyn Write) -> CmdResult {
 ///
 /// Stdout (the aligned text table) and the `--out` file are byte-identical
 /// for every `--workers` value at a fixed seed — CI diffs a 1-worker run
-/// against a 4-worker run to enforce this — and for both `--kernel`
-/// values (the batch kernel is a bit-identical re-packing of the scalar
-/// tests).
+/// against a 4-worker run to enforce this.
 pub fn sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
     let figure = args.flags.get("figure").map(String::as_str).unwrap_or("fig3a");
     let workload = FigureWorkload::by_id(figure)
@@ -319,7 +317,6 @@ pub fn sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
     }
     let per_bin = positive_count(args, "per-bin")?.unwrap_or(200);
     let seed = crate::args::seed(args, fpga_rt_exp::cli::DEFAULT_SEED)?;
-    let kernel = kernel_flag(args)?;
     let deterministic = args.has("deterministic");
     let out_target = artifact_target(args, "out", &[ArtifactFormat::Json, ArtifactFormat::Csv])?;
     let (metrics, obs) = metrics_target(args, deterministic)?;
@@ -328,7 +325,7 @@ pub fn sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
     config.bins = UtilizationBins::new(0.0, 1.0, bins);
     config.workers = positive_count(args, "workers")?.unwrap_or(0);
     config.obs = obs.clone();
-    let outcome = run_pool_sweep(&config, &analysis_evaluators_for(kernel));
+    let outcome = run_pool_sweep(&config, &analysis_evaluators());
 
     let _ = write!(out, "{}", fpga_rt_exp::output::render_text(&outcome.result));
     if outcome.exhausted_units > 0 {
@@ -385,7 +382,7 @@ pub fn sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
 /// conforms, 1 on any soundness violation.
 pub fn conform(args: &Args, out: &mut dyn Write) -> CmdResult {
     use fpga_rt_conform::{
-        paper_conform_evaluators_for, render_csv_multi, render_text, run_conform, run_twod_bridge,
+        paper_conform_evaluators, render_csv_multi, render_text, run_conform, run_twod_bridge,
         ConformConfig, ConformReport, TwodBridgeConfig,
     };
 
@@ -396,7 +393,6 @@ pub fn conform(args: &Args, out: &mut dyn Write) -> CmdResult {
     let per_bin = positive_count(args, "per-bin")?.unwrap_or(100);
     let seed = crate::args::seed(args, fpga_rt_exp::cli::DEFAULT_SEED)?;
     let workers = positive_count(args, "workers")?.unwrap_or(0);
-    let kernel = kernel_flag(args)?;
     let sim_horizon = parsed_flag(args, "sim-horizon", 50.0f64)?;
     if !(sim_horizon.is_finite() && sim_horizon > 0.0) {
         return Err(format!("--sim-horizon must be a positive factor, got {sim_horizon}"));
@@ -414,14 +410,6 @@ pub fn conform(args: &Args, out: &mut dyn Write) -> CmdResult {
                      population with --samples"
                 ));
             }
-        }
-        // Same policy for --kernel: the bridge does not thread a kernel
-        // choice, so accepting the flag would pretend a scalar
-        // cross-check happened when it did not.
-        if args.has("kernel") {
-            return Err("--kernel applies to the 1-D mode; --twod always uses the \
-                 engine's default evaluators"
-                .into());
         }
         // The bridge does not thread the telemetry registry; accepting the
         // flag would write an empty metrics artifact.
@@ -496,7 +484,7 @@ pub fn conform(args: &Args, out: &mut dyn Write) -> CmdResult {
         // One shared registry across the figure loop, so per-figure
         // counters accumulate into a single artifact.
         config.obs = obs.clone();
-        let outcome = run_conform(&config, paper_conform_evaluators_for(kernel));
+        let outcome = run_conform(&config, paper_conform_evaluators());
         let _ = write!(out, "{}", render_text(&outcome.report));
         exhausted += outcome.exhausted_units;
         failed += outcome.failed_units;
@@ -1172,77 +1160,6 @@ mod tests {
         assert!(text.contains("8 conns, 64 sent, 64 received, 0 dropped, 0 reordered"), "{text}");
     }
 
-    /// The `--kernel` escape hatch: scalar and batch runs are
-    /// byte-identical on stdout and in the artifact, and garbage values
-    /// are refused.
-    #[test]
-    fn sweep_kernels_are_byte_identical() {
-        let dir = std::env::temp_dir().join("fpga-rt-cli-cmds");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut transcripts = Vec::new();
-        for kernel in ["batch", "scalar"] {
-            let path = dir.join(format!("sweep-k-{kernel}.json"));
-            let out_path = path.to_string_lossy().into_owned();
-            let mut buf = Vec::new();
-            let code = sweep(
-                &args(&[
-                    "--figure",
-                    "fig3a",
-                    "--bins",
-                    "3",
-                    "--per-bin",
-                    "8",
-                    "--seed",
-                    "7",
-                    "--kernel",
-                    kernel,
-                    "--out",
-                    &out_path,
-                ]),
-                &mut buf,
-            )
-            .unwrap();
-            assert_eq!(code, ExitCode::Accepted);
-            transcripts.push((String::from_utf8(buf).unwrap(), std::fs::read(&path).unwrap()));
-        }
-        assert_eq!(transcripts[0].0, transcripts[1].0, "stdout differs across kernels");
-        assert_eq!(transcripts[0].1, transcripts[1].1, "--out JSON differs across kernels");
-        let err = sweep(&args(&["--kernel", "simd"]), &mut Vec::new()).unwrap_err();
-        assert!(err.contains("batch|scalar"), "{err}");
-        let err = conform(&args(&["--kernel", "simd"]), &mut Vec::new()).unwrap_err();
-        assert!(err.contains("batch|scalar"), "{err}");
-    }
-
-    /// Same contract for conform at smoke scale.
-    #[test]
-    fn conform_kernels_are_byte_identical() {
-        let mut transcripts = Vec::new();
-        for kernel in ["batch", "scalar"] {
-            let mut buf = Vec::new();
-            let code = conform(
-                &args(&[
-                    "--figure",
-                    "fig3a",
-                    "--bins",
-                    "2",
-                    "--per-bin",
-                    "4",
-                    "--sim-horizon",
-                    "15",
-                    "--seed",
-                    "7",
-                    "--kernel",
-                    kernel,
-                ]),
-                &mut buf,
-            )
-            .unwrap();
-            assert_eq!(code, ExitCode::Accepted);
-            transcripts.push(String::from_utf8(buf).unwrap());
-        }
-        assert_eq!(transcripts[0], transcripts[1], "stdout differs across kernels");
-    }
-
     #[test]
     fn sweep_writes_csv_when_asked() {
         let dir = std::env::temp_dir().join("fpga-rt-cli-cmds");
@@ -1470,8 +1387,6 @@ mod tests {
         let err = conform(&args(&["--twod", "--per-bin", "2000"]), &mut Vec::new()).unwrap_err();
         assert!(err.contains("--samples"), "{err}");
         assert!(conform(&args(&["--twod", "--figure", "fig3a"]), &mut Vec::new()).is_err());
-        let err = conform(&args(&["--twod", "--kernel", "scalar"]), &mut Vec::new()).unwrap_err();
-        assert!(err.contains("1-D mode"), "{err}");
         let err = conform(&args(&["--samples", "100"]), &mut Vec::new()).unwrap_err();
         assert!(err.contains("--twod"), "{err}");
     }

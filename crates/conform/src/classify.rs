@@ -21,9 +21,7 @@
 //! finite horizon, an upper bound on true schedulability (the same caveat
 //! as the paper's own simulation curves).
 
-use fpga_rt_analysis::{
-    AnalysisKernel, AnalysisSeries, AnyOfTest, DpTest, Gn1Test, Gn2Test, SchedTest,
-};
+use fpga_rt_analysis::AnalysisSeries;
 use fpga_rt_exp::Evaluator;
 use fpga_rt_sim::SchedulerKind;
 use serde::{Deserialize, Serialize};
@@ -148,43 +146,10 @@ pub fn paper_conform_evaluators() -> Vec<ConformEvaluator> {
         .collect()
 }
 
-/// The same four series as scalar closures over the test implementations —
-/// the `fpga-rt conform --kernel scalar` escape hatch. Verdicts (and
-/// therefore whole conformance reports) are byte-identical to
-/// [`paper_conform_evaluators`]; asserted by tests.
-pub fn paper_conform_evaluators_scalar() -> Vec<ConformEvaluator> {
-    let any = AnyOfTest::paper_suite();
-    vec![
-        ConformEvaluator::new(
-            Evaluator::from_test(DpTest::default()),
-            series_targets(AnalysisSeries::Dp),
-        ),
-        ConformEvaluator::new(
-            Evaluator::from_test(Gn1Test::default()),
-            series_targets(AnalysisSeries::Gn1),
-        ),
-        ConformEvaluator::new(
-            Evaluator::from_test(Gn2Test::default()),
-            series_targets(AnalysisSeries::Gn2),
-        ),
-        ConformEvaluator::new(
-            Evaluator::new("AnyOf", move |ts, dev| any.is_schedulable(ts, dev)),
-            series_targets(AnalysisSeries::AnyOf),
-        ),
-    ]
-}
-
-/// The paper suite for an explicit kernel choice.
-pub fn paper_conform_evaluators_for(kernel: AnalysisKernel) -> Vec<ConformEvaluator> {
-    match kernel {
-        AnalysisKernel::Batch => paper_conform_evaluators(),
-        AnalysisKernel::Scalar => paper_conform_evaluators_scalar(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpga_rt_analysis::{DpTest, Gn1Test};
 
     fn dp() -> ConformEvaluator {
         ConformEvaluator::new(

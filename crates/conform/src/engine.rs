@@ -496,17 +496,6 @@ mod tests {
         }
     }
 
-    /// The kernel escape hatch can never change an artifact: the batch
-    /// and scalar paper suites produce byte-identical reports.
-    #[test]
-    fn batch_and_scalar_kernels_produce_identical_reports() {
-        use crate::classify::paper_conform_evaluators_scalar;
-        let batch = run_conform(&tiny_config(2), paper_conform_evaluators());
-        let scalar = run_conform(&tiny_config(2), paper_conform_evaluators_scalar());
-        assert_eq!(batch.report, scalar.report);
-        assert_eq!(batch.exhausted_units, scalar.exhausted_units);
-    }
-
     #[test]
     fn paper_suite_is_sound_on_a_small_population() {
         let out = run_conform(&tiny_config(0), paper_conform_evaluators());

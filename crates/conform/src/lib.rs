@@ -55,10 +55,7 @@ pub mod engine;
 pub mod render;
 pub mod twod;
 
-pub use classify::{
-    paper_conform_evaluators, paper_conform_evaluators_for, paper_conform_evaluators_scalar,
-    Classification, ConformEvaluator, SIM_SCHEDULERS,
-};
+pub use classify::{paper_conform_evaluators, Classification, ConformEvaluator, SIM_SCHEDULERS};
 pub use counterexample::{
     capture_miss_evidence, minimize_taskset, minimize_with, Counterexample, ViolationKind,
     TRACE_TAIL_SEGMENTS,

@@ -42,8 +42,9 @@ impl Evaluator {
         Evaluator { name: name.into(), kind: EvalKind::Custom(Arc::new(decide)) }
     }
 
-    /// Wrap an analytic schedulability test (scalar path — use
-    /// [`Evaluator::analysis`] for the batch kernel).
+    /// Wrap any analytic schedulability test, ablation variants included
+    /// (per-sample path — [`Evaluator::analysis`] lets a sweep batch the
+    /// paper-default series).
     pub fn from_test<S>(test: S) -> Self
     where
         S: SchedTest<f64> + Send + Sync + 'static,
@@ -53,9 +54,8 @@ impl Evaluator {
     }
 
     /// One of the paper-default analytic series, evaluated through the
-    /// allocation-free [`BatchAnalyzer`] kernel — bit-identical to the
-    /// corresponding scalar test (and named identically, so artifacts do
-    /// not churn when a runner switches kernels).
+    /// allocation-free [`BatchAnalyzer`] — the same kernel the test types
+    /// call, and named like them.
     pub fn analysis(series: AnalysisSeries) -> Self {
         Evaluator { name: series.name().to_string(), kind: EvalKind::Analysis(series) }
     }

@@ -27,18 +27,16 @@
 //! λ candidates pre-sorted at pack time, held in `fpga-rt-pool` shard
 //! state) and one [`BatchAnalyzer`] pass produces all four verdicts with
 //! zero per-taskset heap allocation. Any custom evaluator in the list
-//! falls back to the per-sample scalar path (with a per-worker
-//! [`ScratchSpace`] so analysis-kind members of a mixed list still ride
-//! the kernel). Both paths produce bit-identical curves — the batch kernel
-//! is a pure re-packing of the scalar tests — so the choice (and the
-//! `fpga-rt sweep --kernel scalar|batch` escape hatch) never shows up in
-//! artifacts.
+//! falls back to the per-sample path (with a per-worker [`ScratchSpace`]
+//! so analysis-kind members of a mixed list still ride the kernel). Both
+//! paths evaluate the same analysis kernel, so the choice never shows up
+//! in artifacts.
 //!
 //! The result reuses [`SweepResult`], so the text/markdown/CSV renderers in
 //! [`crate::output`] and `serde_json` serialization apply unchanged. The
 //! `fpga-rt sweep` CLI subcommand and the `sweep` study binary wrap this
 //! module; `cargo bench -p fpga-rt-bench --bench sweep_throughput` measures
-//! its scaling and the batch-vs-scalar kernel speedup.
+//! its scaling.
 //!
 //! ```
 //! use fpga_rt_exp::sweep::{run_pool_sweep, PoolSweepConfig};
@@ -56,9 +54,7 @@
 //! ```
 
 use crate::acceptance::{sample_seed, AcceptanceSeries, Evaluator, SeriesPoint, SweepResult};
-use fpga_rt_analysis::{
-    AnalysisKernel, AnalysisSeries, BatchAnalyzer, BatchVerdicts, ScratchSpace, TaskSetBatch,
-};
+use fpga_rt_analysis::{AnalysisSeries, BatchAnalyzer, BatchVerdicts, ScratchSpace, TaskSetBatch};
 use fpga_rt_gen::{BinnedGenerator, BinningStrategy, FigureWorkload, UtilizationBins};
 use fpga_rt_obs::Obs;
 use fpga_rt_pool::{PoolConfig, ShardedPool};
@@ -169,7 +165,7 @@ impl SweepContext {
     }
 }
 
-/// Per-sample verdicts on the scalar path: which evaluators accepted the
+/// Per-sample verdicts on the per-sample path: which evaluators accepted the
 /// sampled taskset, or `None` when the generator could not fill the bin
 /// for this sample.
 type UnitVerdicts = Option<Vec<bool>>;
@@ -187,33 +183,10 @@ pub fn analysis_evaluators() -> Vec<Evaluator> {
     AnalysisSeries::ALL.into_iter().map(Evaluator::analysis).collect()
 }
 
-/// The same four series as scalar closures over the [`fpga_rt_analysis`]
-/// test implementations — the `--kernel scalar` escape hatch, and the
-/// reference the batch kernel is cross-checked against (byte-identical
-/// curves, asserted by tests).
-pub fn analysis_evaluators_scalar() -> Vec<Evaluator> {
-    use fpga_rt_analysis::{AnyOfTest, DpTest, Gn1Test, Gn2Test, SchedTest};
-    let any = AnyOfTest::paper_suite();
-    vec![
-        Evaluator::from_test(DpTest::default()),
-        Evaluator::from_test(Gn1Test::default()),
-        Evaluator::from_test(Gn2Test::default()),
-        Evaluator::new("AnyOf", move |ts, dev| any.is_schedulable(ts, dev)),
-    ]
-}
-
-/// The analytic suite for an explicit kernel choice.
-pub fn analysis_evaluators_for(kernel: AnalysisKernel) -> Vec<Evaluator> {
-    match kernel {
-        AnalysisKernel::Batch => analysis_evaluators(),
-        AnalysisKernel::Scalar => analysis_evaluators_scalar(),
-    }
-}
-
 /// Run a sweep over the shared worker pool. Deterministic for a given
 /// `config` and evaluator list — independent of `workers` and `chunk`,
-/// and independent of whether the batch or the scalar path evaluates the
-/// analytic series.
+/// and independent of whether the batch or the per-sample path evaluates
+/// the analytic series.
 pub fn run_pool_sweep(config: &PoolSweepConfig, evaluators: &[Evaluator]) -> PoolSweepOutcome {
     let all_analysis: Option<Vec<AnalysisSeries>> =
         evaluators.iter().map(Evaluator::analysis_series).collect();
@@ -498,30 +471,10 @@ mod tests {
         }
     }
 
-    /// The tentpole contract: the batch kernel's curves are byte-identical
-    /// to the scalar evaluators' for the same configuration — the two
-    /// `--kernel` modes can never disagree in an artifact.
-    #[test]
-    fn batch_kernel_matches_scalar_kernel() {
-        for (figure, seed) in [
-            (FigureWorkload::fig3a(), 42u64),
-            (FigureWorkload::fig4a(), 7),
-            (FigureWorkload::fig4b(), 9),
-        ] {
-            let mut config = PoolSweepConfig::new(figure, 6, seed);
-            config.bins = UtilizationBins::new(0.0, 1.0, 4);
-            config.workers = 2;
-            let batch = run_pool_sweep(&config, &analysis_evaluators_for(AnalysisKernel::Batch));
-            let scalar = run_pool_sweep(&config, &analysis_evaluators_for(AnalysisKernel::Scalar));
-            assert_eq!(batch.result, scalar.result, "{}", figure.id);
-            assert_eq!(batch.exhausted_units, scalar.exhausted_units);
-        }
-    }
-
     /// A strict subset of analysis series still takes the batch path and
-    /// matches the scalar tests.
+    /// matches the per-sample path through the test types.
     #[test]
-    fn partial_analysis_suite_matches_scalar() {
+    fn partial_analysis_suite_matches_per_sample_path() {
         let config = tiny_config(2);
         let batch = run_pool_sweep(
             &config,

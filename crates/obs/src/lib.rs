@@ -37,7 +37,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 pub use hist::LatencyHistogram;
 
@@ -190,7 +190,7 @@ impl Registry {
         let inner = self.lock();
         Snapshot {
             schema: SCHEMA.to_string(),
-            runner: runner_id(),
+            runner: (!self.deterministic).then(runner_id),
             deterministic: self.deterministic,
             meta: inner
                 .meta
@@ -395,15 +395,17 @@ impl HistRow {
 /// A point-in-time export of a [`Registry`]: the versioned `fpga-rt-obs/1`
 /// artifact behind `--metrics-out` and the JSONL `stats` op.
 ///
-/// All row vectors are sorted by name. The JSON form carries the runner
-/// class (for `bench_gate.py`'s cross-runner downgrade); the text form
-/// omits it so text artifacts byte-diff across hosts too.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// All row vectors are sorted by name. The JSON form of a wall-clock
+/// snapshot carries the runner class (for `bench_gate.py`'s cross-runner
+/// downgrade); a deterministic snapshot carries none, and the text form
+/// omits it, so deterministic and text artifacts byte-diff across hosts.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct Snapshot {
     /// Schema tag ([`SCHEMA`]).
     pub schema: String,
-    /// Runner class that produced the samples (see [`runner_id`]).
-    pub runner: String,
+    /// Runner class that produced the samples (see [`runner_id`]); `None`
+    /// (and absent from the JSON) for deterministic snapshots.
+    pub runner: Option<String>,
     /// Whether time-valued samples were zeroed at the recording site.
     pub deterministic: bool,
     /// Run metadata (budget-defining parameters).
@@ -414,6 +416,25 @@ pub struct Snapshot {
     pub gauges: Vec<GaugeRow>,
     /// Histogram summary rows, sorted by name.
     pub histograms: Vec<HistRow>,
+}
+
+// Hand-written so a deterministic snapshot *omits* the runner key rather
+// than serializing it as `null`.
+impl Serialize for Snapshot {
+    fn to_value(&self) -> Value {
+        let mut entries = vec![("schema".to_string(), self.schema.to_value())];
+        if let Some(runner) = &self.runner {
+            entries.push(("runner".to_string(), runner.to_value()));
+        }
+        entries.extend([
+            ("deterministic".to_string(), self.deterministic.to_value()),
+            ("meta".to_string(), self.meta.to_value()),
+            ("counters".to_string(), self.counters.to_value()),
+            ("gauges".to_string(), self.gauges.to_value()),
+            ("histograms".to_string(), self.histograms.to_value()),
+        ]);
+        Value::Map(entries)
+    }
 }
 
 impl Snapshot {
@@ -595,7 +616,23 @@ mod tests {
         let text = snap.render_text();
         assert!(text.starts_with("fpga-rt-obs/1 snapshot"));
         assert!(text.contains("admission/decisions"));
-        assert!(!text.contains(&snap.runner), "text artifact must be host-independent");
+        let runner = populated(false).snapshot().runner.expect("wall-clock snapshots name it");
+        assert!(!text.contains(&runner), "text artifact must be host-independent");
+    }
+
+    /// Deterministic snapshots carry no host identity, in JSON either;
+    /// wall-clock snapshots keep the runner class for the bench gate.
+    #[test]
+    fn deterministic_json_omits_the_runner() {
+        let det = populated(true).snapshot();
+        assert_eq!(det.runner, None);
+        assert!(!det.render_json().contains("\"runner\""));
+        let wall = populated(false).snapshot();
+        assert_eq!(wall.runner.as_deref(), Some(runner_id().as_str()));
+        let json = wall.render_json();
+        assert!(json.contains("\"runner\""));
+        let back: Snapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, wall);
     }
 
     #[test]

@@ -24,15 +24,20 @@
 //!   order-independent fingerprint of the evaluated task multiset, replaying
 //!   whole decisions — verdict, tier, margin, reason, per-task rows — on
 //!   resubmission without running any analysis;
-//! * **warm GN1/GN2 paths** ([`fpga_rt_analysis::IncrementalState`]): cached
-//!   per-task GN1 aggregates and a persistent sorted λ-candidate pool,
-//!   updated incrementally on admit/release, feeding the exact same
-//!   evaluation code the scratch tests use.
+//! * the **incremental DP minimum** ([`fpga_rt_analysis::IncrementalState`]):
+//!   the cached `min_k g_k` that makes the common admission O(1).
+//!
+//! The GN1/GN2 tiers and the exact re-check run the analysis kernel
+//! ([`fpga_rt_analysis::batch`]) on a snapshot packed into a per-controller
+//! [`ScratchSpace`]; margins and `margins:true` rows come from the
+//! kernel's per-task rows.
 
 use crate::cache::{stages, CacheOp, CachedVerdict, TasksetFingerprint, VerdictCache};
 use crate::protocol::{counters, PerTaskMargin, QueryStats};
-use fpga_rt_analysis::{DpTest, Gn1Test, Gn2Test, IncrementalState, SchedTest, TestReport};
-use fpga_rt_model::{Fpga, LiveTaskSet, Rat64, Task, TaskHandle, TaskSet};
+use fpga_rt_analysis::{
+    DpConfig, Gn1Config, Gn2Config, IncrementalOutcome, IncrementalState, KernelRow, ScratchSpace,
+};
+use fpga_rt_model::{Fpga, LiveTaskSet, ModelError, Rat64, Task, TaskHandle, TaskSet};
 use fpga_rt_obs::{Obs, SpanTimer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -145,8 +150,9 @@ pub struct AdmissionController {
     device: Fpga,
     live: LiveTaskSet<f64>,
     dp: IncrementalState<f64>,
-    gn1: Gn1Test,
-    gn2: Gn2Test,
+    /// The kernel's pack buffer for snapshot evaluations, and its rows.
+    scratch: ScratchSpace<f64>,
+    rows: Vec<KernelRow>,
     config: ControllerConfig,
     stats: QueryStats,
     obs: Obs,
@@ -175,8 +181,8 @@ impl AdmissionController {
             device,
             live: LiveTaskSet::new(),
             dp: IncrementalState::default(),
-            gn1: Gn1Test::default(),
-            gn2: Gn2Test::default(),
+            scratch: ScratchSpace::new(),
+            rows: Vec::new(),
             config,
             stats: QueryStats::default(),
             obs,
@@ -243,8 +249,8 @@ impl AdmissionController {
     /// Export the controller's durable state for a session snapshot: the
     /// live `(handle, task)` pairs in canonical order, the handle counter
     /// and the accumulated decision statistics. Everything else — the
-    /// incremental DP state, the GN warm paths, the taskset fingerprint —
-    /// is derivable from the live multiset and is rebuilt on restore.
+    /// incremental DP state, the taskset fingerprint — is derivable from
+    /// the live multiset and is rebuilt on restore.
     pub fn export_state(&self) -> (Vec<(TaskHandle, Task<f64>)>, u64, QueryStats) {
         let pairs = self.live.iter().map(|(h, t)| (h, *t)).collect();
         (pairs, self.live.next_handle(), self.stats)
@@ -255,12 +261,12 @@ impl AdmissionController {
     /// The live set is restored in canonical order and its aggregates are
     /// recomputed from scratch, which yields bits identical to any
     /// admit/release history reaching the same multiset (the purity
-    /// contract of [`LiveTaskSet`]). The incremental DP state and the GN
-    /// warm paths reset to their defaults — they re-warm lazily and
-    /// bit-identically from the live set — and the fingerprint is refolded
-    /// from the tasks. The verdict cache restarts empty at the same
-    /// capacity: cache state never changes a response byte, so this is a
-    /// telemetry-only difference. All subsequent verdicts are therefore
+    /// contract of [`LiveTaskSet`]). The incremental DP state resets to its
+    /// default — it re-warms lazily and bit-identically from the live set —
+    /// and the fingerprint is refolded from the tasks. The verdict cache
+    /// restarts empty at the same capacity: cache state never changes a
+    /// response byte, so this is a telemetry-only difference. All
+    /// subsequent verdicts are therefore
     /// identical to a never-snapshotted twin (property-tested in
     /// `tests/session_equiv.rs`).
     pub fn restore_state(
@@ -277,8 +283,6 @@ impl AdmissionController {
         self.live = live;
         self.fp = fp;
         self.dp = IncrementalState::default();
-        self.gn1 = Gn1Test::default();
-        self.gn2 = Gn2Test::default();
         self.stats = stats;
         if let Some(cache) = &self.cache {
             self.cache = Some(VerdictCache::new(cache.capacity()));
@@ -331,24 +335,29 @@ impl AdmissionController {
         }
     }
 
-    /// Per-task margin rows from a report over a canonical-order snapshot.
+    /// Per-task margin rows from the kernel's rows over a canonical-order
+    /// snapshot.
     fn margin_rows(
         &self,
-        report: &TestReport,
+        rows: &[KernelRow],
         rejected_candidate_pos: Option<usize>,
     ) -> Vec<PerTaskMargin> {
-        report
-            .checks
-            .iter()
-            .map(|c| {
-                let index = c.task.0;
-                PerTaskMargin {
-                    index,
-                    handle: self.resolve_handle(index, rejected_candidate_pos),
-                    margin: c.rhs - c.lhs,
-                }
+        rows.iter()
+            .map(|r| PerTaskMargin {
+                index: r.task,
+                handle: self.resolve_handle(r.task, rejected_candidate_pos),
+                margin: r.rhs - r.lhs,
             })
             .collect()
+    }
+
+    /// DP's margin rows over the live set (the rows of a clear
+    /// incremental-DP accept).
+    fn dp_rows(&mut self) -> Vec<PerTaskMargin> {
+        let snap = self.live.snapshot().expect("caller checked non-empty");
+        self.rows.clear();
+        self.scratch.load(&snap).dp(&self.device, DpConfig::default(), &mut self.rows);
+        self.margin_rows(&self.rows, None)
     }
 
     /// Rebuild margin rows from cached `(canonical index, margin)` pairs,
@@ -478,10 +487,7 @@ impl AdmissionController {
         if dp_out.accepted && !self.knife_edge(dp_out.margin, new_us) {
             self.record(Tier::IncrementalDp, true, decision_span);
             let handle = self.commit(task);
-            let per_task = want_margins.then(|| {
-                let snap = self.live.snapshot().expect("non-empty after commit");
-                self.margin_rows(&DpTest::default().check(&snap, &self.device), None)
-            });
+            let per_task = want_margins.then(|| self.dp_rows());
             self.memoize(
                 CacheOp::Admit,
                 key,
@@ -507,12 +513,12 @@ impl AdmissionController {
         // Slow path: evaluate Γ ∪ {candidate} as a snapshot.
         let (snap, pos) =
             self.live.snapshot_with_pos(&task).expect("candidate makes the set non-empty");
-        let outcome = self.cascade_decide(&snap, dp_out, new_us, Some((pos, &task)));
+        let outcome = self.cascade_decide(&snap, dp_out, new_us);
         self.record(outcome.tier, outcome.accepted, decision_span);
         let handle = if outcome.accepted { Some(self.commit(task)) } else { None };
         let rejected_pos = (!outcome.accepted).then_some(pos);
-        let per_task = match (&outcome.report, want_margins) {
-            (Some(report), true) => Some(self.margin_rows(report, rejected_pos)),
+        let per_task = match (&outcome.rows, want_margins) {
+            (Some(rows), true) => Some(self.margin_rows(rows, rejected_pos)),
             _ => None,
         };
         self.memoize(
@@ -539,48 +545,45 @@ impl AdmissionController {
 
     /// Shared slow path of [`AdmissionController::admit`] and
     /// [`AdmissionController::query`]: run GN1 then (only if needed) GN2 on
-    /// the snapshot, escalate to the exact tier when any *computed* margin
-    /// is knife-edge, and fall back to the f64 verdict when exact
-    /// arithmetic is unavailable for this set.
-    ///
-    /// `candidate` is the admission candidate and its canonical position in
-    /// `snap` (None for queries); GN1/GN2 run through the warm paths of
-    /// [`IncrementalState`], splicing the candidate into the maintained
-    /// aggregates — bit-identical to scratch evaluation of `snap`.
+    /// the snapshot, and escalate to the exact tier when any *computed*
+    /// margin is knife-edge. An exact re-check that cannot be carried out
+    /// (conversion failure, `Rat64` overflow) rejects: admission never
+    /// accepts what it could not prove.
     fn cascade_decide(
         &mut self,
         snap: &TaskSet<f64>,
-        dp_out: fpga_rt_analysis::IncrementalOutcome<f64>,
+        dp_out: IncrementalOutcome<f64>,
         us: f64,
-        candidate: Option<(usize, &Task<f64>)>,
     ) -> CascadeOutcome {
         let mut knife = self.knife_edge(dp_out.margin, us);
         let mut best_margin = dp_out.margin;
-        let mut decided: Option<(Tier, f64, TestReport)> = None;
+        let mut decided: Option<(Tier, f64)> = None;
         let mut mask = stages::DP;
 
         // Lazy escalation: GN2 (O(N³)) only runs when GN1 did not accept.
+        self.scratch.load(snap);
         for tier in [Tier::Gn1, Tier::Gn2] {
             let stage_span = self.obs.span();
-            let (report, stage, bit) = match tier {
+            self.rows.clear();
+            let (verdict, stage, bit) = match tier {
                 Tier::Gn1 => (
-                    self.dp.warm_gn1_check(&self.gn1, &self.live, snap, candidate, &self.device),
+                    self.scratch.gn1(&self.device, Gn1Config::default(), &mut self.rows),
                     "admission/stage/gn1_ns",
                     stages::GN1,
                 ),
                 _ => (
-                    self.dp.warm_gn2_check(&self.gn2, &self.live, snap, candidate, &self.device),
+                    self.scratch.gn2(&self.device, Gn2Config::default(), &mut self.rows),
                     "admission/stage/gn2_ns",
                     stages::GN2,
                 ),
             };
             self.obs.record_ns(stage, stage_span.elapsed_ns());
             mask |= bit;
-            let margin = report_margin(&report);
+            let margin = rows_margin(verdict.accepted, &self.rows);
             knife |= self.knife_edge(margin, us);
             best_margin = best_margin.max(margin);
-            if report.accepted() {
-                decided = Some((tier, margin, report));
+            if verdict.accepted {
+                decided = Some((tier, margin));
                 break;
             }
         }
@@ -589,60 +592,38 @@ impl AdmissionController {
         if knife {
             mask |= stages::EXACT;
             let exact_span = self.obs.span();
-            let exact_result = exact_cascade(snap, &self.device, self.config.max_denominator);
+            let mut rows = Vec::new();
+            let exact = exact_cascade(snap, &self.device, self.config.max_denominator, &mut rows);
             self.obs.record_ns("admission/stage/exact_ns", exact_span.elapsed_ns());
-            match exact_result {
-                Ok(exact) => {
-                    return CascadeOutcome {
-                        accepted: exact.accepted,
-                        tier: Tier::Exact,
-                        margin: finite(exact.margin),
-                        reason: Some(exact.reason),
-                        report: Some(exact.report),
-                        stages: mask,
-                    };
-                }
-                Err(overflow) => {
-                    // Exact arithmetic cannot represent this set: fall back
-                    // to the f64 verdict, noting the degradation.
-                    let note = format!("exact re-check unavailable ({overflow}); f64 verdict");
-                    return match decided {
-                        Some((tier, margin, report)) => CascadeOutcome {
-                            accepted: true,
-                            tier,
-                            margin: finite(margin),
-                            reason: Some(note),
-                            report: Some(report),
-                            stages: mask,
-                        },
-                        None if dp_out.accepted => CascadeOutcome {
-                            accepted: true,
-                            tier: Tier::IncrementalDp,
-                            margin: finite(dp_out.margin),
-                            reason: Some(note),
-                            report: None,
-                            stages: mask,
-                        },
-                        None => CascadeOutcome {
-                            accepted: false,
-                            tier: Tier::Gn2,
-                            margin: finite(best_margin),
-                            reason: Some(format!("rejected by DP, GN1 and GN2; {note}")),
-                            report: None,
-                            stages: mask,
-                        },
-                    };
-                }
-            }
+            return match exact {
+                Ok((accepted, reason)) => CascadeOutcome {
+                    accepted,
+                    tier: Tier::Exact,
+                    margin: finite(rows_margin(accepted, &rows)),
+                    reason: Some(reason),
+                    rows: Some(rows),
+                    stages: mask,
+                },
+                Err(unavailable) => CascadeOutcome {
+                    accepted: false,
+                    tier: Tier::Exact,
+                    margin: None,
+                    reason: Some(format!(
+                        "exact re-check unavailable ({unavailable}); rejected conservatively"
+                    )),
+                    rows: None,
+                    stages: mask,
+                },
+            };
         }
 
         match decided {
-            Some((tier, margin, report)) => CascadeOutcome {
+            Some((tier, margin)) => CascadeOutcome {
                 accepted: true,
                 tier,
                 margin: finite(margin),
                 reason: None,
-                report: Some(report),
+                rows: Some(std::mem::take(&mut self.rows)),
                 stages: mask,
             },
             None => CascadeOutcome {
@@ -650,7 +631,7 @@ impl AdmissionController {
                 tier: Tier::Gn2,
                 margin: finite(best_margin),
                 reason: Some("rejected by DP, GN1 and GN2".to_string()),
-                report: None,
+                rows: None,
                 stages: mask,
             },
         }
@@ -710,10 +691,7 @@ impl AdmissionController {
         self.obs.record_ns("admission/stage/dp_ns", dp_span.elapsed_ns());
         let us = self.live.system_utilization();
         if self.live.is_empty() || (dp_out.accepted && !self.knife_edge(dp_out.margin, us)) {
-            let per_task = (want_margins && !self.live.is_empty()).then(|| {
-                let snap = self.live.snapshot().expect("checked non-empty");
-                self.margin_rows(&DpTest::default().check(&snap, &self.device), None)
-            });
+            let per_task = (want_margins && !self.live.is_empty()).then(|| self.dp_rows());
             self.memoize(
                 CacheOp::Query,
                 key,
@@ -735,9 +713,9 @@ impl AdmissionController {
             };
         }
         let snap = self.live.snapshot().expect("non-empty");
-        let outcome = self.cascade_decide(&snap, dp_out, us, None);
-        let per_task = match (&outcome.report, want_margins) {
-            (Some(report), true) => Some(self.margin_rows(report, None)),
+        let outcome = self.cascade_decide(&snap, dp_out, us);
+        let per_task = match (&outcome.rows, want_margins) {
+            (Some(rows), true) => Some(self.margin_rows(rows, None)),
             _ => None,
         };
         self.memoize(
@@ -768,8 +746,8 @@ struct CascadeOutcome {
     tier: Tier,
     margin: Option<f64>,
     reason: Option<String>,
-    /// The deciding test's report, when one exists (for margin rows).
-    report: Option<TestReport>,
+    /// The deciding test's kernel rows, when one exists (for margin rows).
+    rows: Option<Vec<KernelRow>>,
     /// [`stages`] bitmask of the analysis stages that ran (for the cache).
     stages: u8,
 }
@@ -784,38 +762,42 @@ fn rows_of(rows: &[PerTaskMargin]) -> Vec<(usize, f64)> {
     rows.iter().map(|r| (r.index, r.margin)).collect()
 }
 
-/// Signed slack of a report's deciding comparison: the minimum `rhs − lhs`
-/// over all rows on acceptance, the failing row's `rhs − lhs` on rejection.
-fn report_margin(report: &TestReport) -> f64 {
-    if report.accepted() {
-        report.checks.iter().map(|c| c.rhs - c.lhs).fold(f64::INFINITY, f64::min)
+/// Signed slack of a test's deciding comparison from its kernel rows: the
+/// minimum `rhs − lhs` over all rows on acceptance, the failing row's
+/// `rhs − lhs` on rejection.
+fn rows_margin(accepted: bool, rows: &[KernelRow]) -> f64 {
+    if accepted {
+        rows.iter().map(|r| r.rhs - r.lhs).fold(f64::INFINITY, f64::min)
     } else {
-        report
-            .checks
-            .iter()
-            .rev()
-            .find(|c| !c.passed)
-            .map(|c| c.rhs - c.lhs)
-            .unwrap_or(f64::NEG_INFINITY)
+        rows.iter().rev().find(|r| !r.passed).map(|r| r.rhs - r.lhs).unwrap_or(f64::NEG_INFINITY)
     }
 }
 
-/// Result of the exact-arithmetic re-check.
+/// Why the exact tier could not decide a knife-edge set.
 #[derive(Debug)]
-struct ExactOutcome {
-    accepted: bool,
-    margin: f64,
-    reason: String,
-    report: TestReport,
+enum ExactUnavailable {
+    /// The `f64 → Rat64` conversion failed.
+    Conversion(ModelError),
+    /// A `Rat64` operation overflowed the normalized i64/i64
+    /// representation.
+    Overflow,
+}
+
+impl core::fmt::Display for ExactUnavailable {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            ExactUnavailable::Conversion(e) => write!(f, "exact conversion failed: {e}"),
+            ExactUnavailable::Overflow => {
+                f.write_str("exact arithmetic overflowed i64 for this taskset")
+            }
+        }
+    }
 }
 
 /// Convert an `f64` snapshot to exact rationals, propagating conversion
 /// failure (values whose integer part exceeds `i64` range) as a clean error
 /// instead of panicking.
-fn to_exact(
-    snapshot: &TaskSet<f64>,
-    max_denominator: u32,
-) -> Result<TaskSet<Rat64>, fpga_rt_model::ModelError> {
+fn to_exact(snapshot: &TaskSet<f64>, max_denominator: u32) -> Result<TaskSet<Rat64>, ModelError> {
     let tasks = snapshot
         .tasks()
         .iter()
@@ -831,48 +813,38 @@ fn to_exact(
     TaskSet::new(tasks)
 }
 
-/// Re-run the DP → GN1 → GN2 cascade in exact [`Rat64`] arithmetic.
-///
-/// `Err` carries an explanation when exact arithmetic is unavailable for
-/// this taskset — either the `f64 → Rat64` conversion fails outright or an
-/// operator overflows the normalized i64/i64 representation (the same
-/// failure mode the CLI's `--exact` flag maps to exit code 2).
+/// Re-run the DP → GN1 → GN2 cascade in exact [`Rat64`] arithmetic on the
+/// kernel, leaving the deciding test's rows in `rows`. Returns the verdict
+/// and its reason, or why exact arithmetic is unavailable for this
+/// taskset.
 fn exact_cascade(
     snapshot: &TaskSet<f64>,
     device: &Fpga,
     max_denominator: u32,
-) -> Result<ExactOutcome, String> {
-    let exact =
-        to_exact(snapshot, max_denominator).map_err(|e| format!("exact conversion failed: {e}"))?;
+    rows: &mut Vec<KernelRow>,
+) -> Result<(bool, String), ExactUnavailable> {
+    let exact = to_exact(snapshot, max_denominator).map_err(ExactUnavailable::Conversion)?;
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        let dp = DpTest::default().check(&exact, device);
-        if dp.accepted() {
-            return ("DP", dp);
+        let mut scratch = ScratchSpace::new();
+        scratch.load(&exact);
+        rows.clear();
+        if scratch.dp(device, DpConfig::default(), rows).accepted {
+            return Some("DP");
         }
-        let gn1 = Gn1Test::default().check(&exact, device);
-        if gn1.accepted() {
-            return ("GN1", gn1);
+        rows.clear();
+        if scratch.gn1(device, Gn1Config::default(), rows).accepted {
+            return Some("GN1");
         }
-        ("GN2", Gn2Test::default().check(&exact, device))
+        rows.clear();
+        scratch.gn2(device, Gn2Config::default(), rows).accepted.then_some("GN2")
     }));
     match caught {
-        Ok((name, report)) => {
-            let accepted = report.accepted();
-            let margin = report_margin(&report);
-            let reason = if accepted {
-                format!("exact re-check: accepted by {name}")
-            } else {
-                "exact re-check: rejected by DP, GN1 and GN2".to_string()
-            };
-            Ok(ExactOutcome { accepted, margin, reason, report })
+        Ok(Some(name)) => Ok((true, format!("exact re-check: accepted by {name}"))),
+        Ok(None) => Ok((false, "exact re-check: rejected by DP, GN1 and GN2".to_string())),
+        Err(payload) if Rat64::is_overflow_panic(payload.as_ref()) => {
+            Err(ExactUnavailable::Overflow)
         }
-        Err(payload) => {
-            if Rat64::is_overflow_panic(payload.as_ref()) {
-                Err("exact arithmetic overflowed i64 for this taskset".to_string())
-            } else {
-                std::panic::resume_unwind(payload);
-            }
-        }
+        Err(payload) => std::panic::resume_unwind(payload),
     }
 }
 
@@ -980,8 +952,46 @@ mod tests {
     #[test]
     fn exact_cascade_conversion_failure_is_an_error() {
         let snap: TaskSet<f64> = TaskSet::try_from_tuples(&[(1e19, 2e19, 2e19, 1)]).unwrap();
-        let err = exact_cascade(&snap, &Fpga::new(10).unwrap(), 1_000_000).unwrap_err();
-        assert!(err.contains("conversion failed"), "{err}");
+        let err =
+            exact_cascade(&snap, &Fpga::new(10).unwrap(), 1_000_000, &mut Vec::new()).unwrap_err();
+        assert!(err.to_string().contains("conversion failed"), "{err}");
+    }
+
+    /// Fail-safe exact tier: Table 1 nudged a hair below the DP bound is a
+    /// knife-edge f64 accept, but with a large `max_denominator` the
+    /// parameters convert to rationals whose exact re-check overflows
+    /// `Rat64`. Unproved, the admission is rejected — by the exact tier,
+    /// with a reason naming the overflow — and the live set is untouched.
+    #[test]
+    fn exact_overflow_rejects_conservatively() {
+        let config = ControllerConfig { max_denominator: u32::MAX, ..ControllerConfig::default() };
+        let mut ctl = AdmissionController::new(Fpga::new(10).unwrap(), config);
+        let first = t(1.26 - 3.1e-10, 7.0, 7.0, 9);
+        let second = t(0.95 - 1.7e-10, 5.0, 5.0, 6);
+        assert!(ctl.admit(first, false).0.accepted);
+        let union = ctl.live().snapshot_with(&second).unwrap();
+        let dev = *ctl.device();
+        assert!(fpga_rt_analysis::SchedTest::is_schedulable(
+            &fpga_rt_analysis::DpTest::default(),
+            &union,
+            &dev
+        ));
+        let (dec, handle) = ctl.admit(second, true);
+        assert!(!dec.accepted, "{dec:?}");
+        assert_eq!(dec.tier, Tier::Exact);
+        assert!(handle.is_none());
+        assert_eq!((dec.margin, dec.per_task), (None, None));
+        let reason = dec.reason.unwrap();
+        assert!(
+            reason.contains("overflowed") && reason.contains("rejected conservatively"),
+            "{reason}"
+        );
+        assert_eq!(ctl.len(), 1);
+        // The default denominator bound proves the same admission exactly.
+        let mut default = controller();
+        default.admit(first, false);
+        let (dec, _) = default.admit(second, false);
+        assert_eq!((dec.accepted, dec.tier), (true, Tier::Exact), "{dec:?}");
     }
 
     #[test]
