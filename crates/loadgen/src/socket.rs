@@ -157,9 +157,11 @@ fn drive_conn(
         hist: LatencyHistogram::new(),
     };
     let session = format!("c{index}");
-    for (seq, line) in script(index, config.requests).into_iter().enumerate() {
+    for (seq, mut line) in script(index, config.requests).into_iter().enumerate() {
+        // One write per request: with Nagle off, a separate `\n` write
+        // would go out as a packet of its own.
+        line.push('\n');
         writer.write_all(line.as_bytes()).map_err(|e| format!("conn {index} send: {e}"))?;
-        writer.write_all(b"\n").map_err(|e| format!("conn {index} send: {e}"))?;
         writer.flush().map_err(|e| format!("conn {index} send: {e}"))?;
         outcome.sent += 1;
         let start = Instant::now();

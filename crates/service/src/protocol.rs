@@ -61,6 +61,7 @@
 use fpga_rt_model::{ModelError, Task};
 use fpga_rt_obs::{Registry, Snapshot};
 use serde::{Deserialize, Serialize, Value};
+use std::fmt::Write as _;
 
 /// Registry counter names the admission statistics fold onto — the single
 /// cross-shard accumulation path (see [`QueryStats::fold_into`] /
@@ -463,6 +464,7 @@ impl QueryStats {
 /// One response line. Legacy fields that do not apply carry `null`; the
 /// v2 fields (`session`, `lifecycle`, `snapshot`) are omitted entirely
 /// when absent, so v1 transcripts are byte-identical to the pre-v2 wire.
+/// [`render_response`] writes it in field order.
 #[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct Response {
     /// Echoed (or assigned `req-<seq>`) correlation id.
@@ -513,44 +515,6 @@ pub struct Response {
     pub lifecycle: Option<String>,
     /// Exported session state (`snapshot` op only).
     pub snapshot: Option<SessionSnapshot>,
-}
-
-// Hand-written so the three v2 keys are *omitted* (not `null`) when
-// absent: the 17 legacy fields serialize exactly as the old derive did,
-// which is what keeps the recorded v1 golden transcripts byte-identical.
-impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        let mut entries: Vec<(String, Value)> = vec![
-            ("id".to_string(), self.id.to_value()),
-            ("seq".to_string(), self.seq.to_value()),
-            ("op".to_string(), self.op.to_value()),
-            ("shard".to_string(), self.shard.to_value()),
-            ("ok".to_string(), self.ok.to_value()),
-            ("verdict".to_string(), self.verdict.to_value()),
-            ("tier".to_string(), self.tier.to_value()),
-            ("handle".to_string(), self.handle.to_value()),
-            ("tasks".to_string(), self.tasks.to_value()),
-            ("ut".to_string(), self.ut.to_value()),
-            ("us".to_string(), self.us.to_value()),
-            ("margin".to_string(), self.margin.to_value()),
-            ("margins".to_string(), self.margins.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-            ("obs".to_string(), self.obs.to_value()),
-            ("reason".to_string(), self.reason.to_value()),
-            ("error".to_string(), self.error.to_value()),
-            ("latency_us".to_string(), self.latency_us.to_value()),
-        ];
-        if let Some(session) = &self.session {
-            entries.push(("session".to_string(), session.to_value()));
-        }
-        if let Some(lifecycle) = &self.lifecycle {
-            entries.push(("lifecycle".to_string(), lifecycle.to_value()));
-        }
-        if let Some(snapshot) = &self.snapshot {
-            entries.push(("snapshot".to_string(), snapshot.to_value()));
-        }
-        Value::Map(entries)
-    }
 }
 
 impl Response {
@@ -730,9 +694,9 @@ struct V1Request {
 pub fn parse_request(line: &str) -> Result<Request, RequestError> {
     let value: Value =
         serde_json::from_str(line).map_err(|e| RequestError::Malformed(e.to_string()))?;
-    match value.as_map() {
-        Some(entries) if entries.iter().any(|(k, _)| k == "session") => parse_v2(entries),
-        _ => parse_v1(&value),
+    match value {
+        Value::Map(entries) if entries.iter().any(|(k, _)| k == "session") => parse_v2(entries),
+        value => parse_v1(&value),
     }
 }
 
@@ -777,8 +741,8 @@ const V2_OPS: &str = "admit|release|query|stats|create|pause|resume|snapshot|res
 
 /// The strict v2 parser: typed extraction over the raw value tree with
 /// unknown-key rejection (the key is named in the error, nested keys with
-/// their path).
-fn parse_v2(entries: &[(String, Value)]) -> Result<Request, RequestError> {
+/// their path). Strings are moved out of the tree, not copied.
+fn parse_v2(mut entries: Vec<(String, Value)>) -> Result<Request, RequestError> {
     let mut ctx = InvalidRequest {
         id: None,
         op: String::new(),
@@ -789,86 +753,98 @@ fn parse_v2(entries: &[(String, Value)]) -> Result<Request, RequestError> {
     let fail = |ctx: &InvalidRequest, message: String| {
         RequestError::Invalid(InvalidRequest { message, ..ctx.clone() })
     };
-    if let Some(id) = find(entries, "id") {
+    if let Some(id) = take(&mut entries, "id") {
         match id {
-            Value::Str(s) => ctx.id = Some(s.clone()),
+            Value::Str(s) => ctx.id = Some(s),
             other => {
                 return Err(fail(&ctx, format!("`id` must be a string, got {}", other.kind())))
             }
         }
     }
-    let session = match find(entries, "session").expect("caller checked the session key") {
-        Value::Str(s) if !s.is_empty() => s.clone(),
+    match take(&mut entries, "session").expect("caller checked the session key") {
+        Value::Str(s) if !s.is_empty() => ctx.session = Some(s),
         Value::Str(_) => {
             return Err(fail(&ctx, "`session` must be a non-empty string".to_string()))
         }
         other => {
             return Err(fail(&ctx, format!("`session` must be a string, got {}", other.kind())))
         }
-    };
-    ctx.session = Some(session.clone());
-    let op_name = match find(entries, "op") {
+    }
+    match take(&mut entries, "op") {
         None => return Err(fail(&ctx, "missing key `op`".to_string())),
-        Some(Value::Str(s)) => s.clone(),
+        Some(Value::Str(s)) => ctx.op = s,
         Some(other) => {
             return Err(fail(&ctx, format!("`op` must be a string, got {}", other.kind())))
         }
-    };
-    ctx.op = op_name.clone();
+    }
 
-    let allowed: &[&str] = match op_name.as_str() {
-        "admit" => &["id", "session", "op", "task", "margins"],
-        "release" => &["id", "session", "op", "handle"],
-        "query" => &["id", "session", "op", "margins"],
-        "restore" => &["id", "session", "op", "snapshot"],
-        "stats" | "create" | "pause" | "resume" | "snapshot" | "destroy" => {
-            &["id", "session", "op"]
-        }
+    let (name, allowed): (&str, &[&str]) = match ctx.op.as_str() {
+        "admit" => ("admit", &["id", "session", "op", "task", "margins"]),
+        "release" => ("release", &["id", "session", "op", "handle"]),
+        "query" => ("query", &["id", "session", "op", "margins"]),
+        "restore" => ("restore", &["id", "session", "op", "snapshot"]),
+        "stats" => ("stats", &["id", "session", "op"]),
+        "create" => ("create", &["id", "session", "op"]),
+        "pause" => ("pause", &["id", "session", "op"]),
+        "resume" => ("resume", &["id", "session", "op"]),
+        "snapshot" => ("snapshot", &["id", "session", "op"]),
+        "destroy" => ("destroy", &["id", "session", "op"]),
         other => return Err(fail(&ctx, format!("unknown op {other:?} ({V2_OPS})"))),
     };
     if let Some((key, _)) = entries.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
-        return Err(fail(&ctx, format!("unknown key `{key}` in {op_name} request")));
+        return Err(fail(&ctx, format!("unknown key `{key}` in {name} request")));
     }
 
-    let margins = match find(entries, "margins") {
+    let margins = match find(&entries, "margins") {
         None => false,
         Some(Value::Bool(b)) => *b,
         Some(other) => {
             return Err(fail(&ctx, format!("`margins` must be a boolean, got {}", other.kind())))
         }
     };
-    let op = match op_name.as_str() {
+    // Payloads are checked before the session moves out of `ctx`.
+    let op = match name {
         "admit" => {
-            let task = match find(entries, "task") {
+            let task = match find(&entries, "task") {
                 None => return Err(fail(&ctx, "admit requires a `task` object".to_string())),
                 Some(value) => parse_task(value, "task").map_err(|m| fail(&ctx, m))?,
             };
-            Op::Admit(AdmitOp { session, task, margins })
+            Op::Admit(AdmitOp { session: session_of(&mut ctx), task, margins })
         }
         "release" => {
-            let handle = match find(entries, "handle") {
+            let handle = match find(&entries, "handle") {
                 None => return Err(fail(&ctx, "release requires a `handle`".to_string())),
-                Some(value) => parse_u64(value, "handle").map_err(|m| fail(&ctx, m))?,
+                Some(value) => parse_u64(value, "", "handle").map_err(|m| fail(&ctx, m))?,
             };
-            Op::Release(ReleaseOp { session, handle })
+            Op::Release(ReleaseOp { session: session_of(&mut ctx), handle })
         }
-        "query" => Op::Query(QueryOp { session, margins }),
-        "stats" => Op::Stats(StatsOp { session }),
-        "create" => Op::Create(CreateOp { session }),
-        "pause" => Op::Pause(PauseOp { session }),
-        "resume" => Op::Resume(ResumeOp { session }),
-        "snapshot" => Op::Snapshot(SnapshotOp { session }),
-        "destroy" => Op::Destroy(DestroyOp { session }),
         "restore" => {
-            let snapshot = match find(entries, "snapshot") {
+            let snapshot = match find(&entries, "snapshot") {
                 None => return Err(fail(&ctx, "restore requires a `snapshot` object".to_string())),
                 Some(value) => parse_session_snapshot(value).map_err(|m| fail(&ctx, m))?,
             };
-            Op::Restore(Box::new(RestoreOp { session, snapshot }))
+            Op::Restore(Box::new(RestoreOp { session: session_of(&mut ctx), snapshot }))
         }
+        "query" => Op::Query(QueryOp { session: session_of(&mut ctx), margins }),
+        "stats" => Op::Stats(StatsOp { session: session_of(&mut ctx) }),
+        "create" => Op::Create(CreateOp { session: session_of(&mut ctx) }),
+        "pause" => Op::Pause(PauseOp { session: session_of(&mut ctx) }),
+        "resume" => Op::Resume(ResumeOp { session: session_of(&mut ctx) }),
+        "snapshot" => Op::Snapshot(SnapshotOp { session: session_of(&mut ctx) }),
+        "destroy" => Op::Destroy(DestroyOp { session: session_of(&mut ctx) }),
         _ => unreachable!("op validated against the allowed set above"),
     };
     Ok(Request { id: ctx.id, op, route: Route::Session })
+}
+
+/// Move the first `key` value out of the entries, leaving `null` and the
+/// key in place for the unknown-key check.
+fn take(entries: &mut [(String, Value)], key: &str) -> Option<Value> {
+    entries.iter_mut().find(|(k, _)| k == key).map(|(_, v)| std::mem::replace(v, Value::Null))
+}
+
+fn session_of(ctx: &mut InvalidRequest) -> String {
+    ctx.session.take().expect("session parsed before the payload")
 }
 
 fn find<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
@@ -886,25 +862,39 @@ fn reject_unknown(entries: &[(String, Value)], allowed: &[&str], path: &str) -> 
     }
 }
 
-fn parse_f64(value: &Value, path: &str) -> Result<f64, String> {
+/// `parent.key` (or `key` at the top level) — built only for an error.
+fn join(parent: &str, key: &str) -> String {
+    if parent.is_empty() {
+        key.to_string()
+    } else {
+        format!("{parent}.{key}")
+    }
+}
+
+fn parse_f64(value: &Value, parent: &str, key: &str) -> Result<f64, String> {
     match *value {
         Value::Float(x) => Ok(x),
         Value::Int(n) => Ok(n as f64),
         Value::UInt(n) => Ok(n as f64),
-        _ => Err(format!("`{path}` must be a number, got {}", value.kind())),
+        _ => Err(format!("`{}` must be a number, got {}", join(parent, key), value.kind())),
     }
 }
 
-fn parse_u64(value: &Value, path: &str) -> Result<u64, String> {
+fn parse_u64(value: &Value, parent: &str, key: &str) -> Result<u64, String> {
     match *value {
         Value::Int(n) if n >= 0 => Ok(n as u64),
         Value::UInt(n) => Ok(n),
-        _ => Err(format!("`{path}` must be an unsigned integer, got {}", value.kind())),
+        _ => Err(format!(
+            "`{}` must be an unsigned integer, got {}",
+            join(parent, key),
+            value.kind()
+        )),
     }
 }
 
-fn parse_u32(value: &Value, path: &str) -> Result<u32, String> {
-    u32::try_from(parse_u64(value, path)?).map_err(|_| format!("`{path}` is out of range for u32"))
+fn parse_u32(value: &Value, parent: &str, key: &str) -> Result<u32, String> {
+    u32::try_from(parse_u64(value, parent, key)?)
+        .map_err(|_| format!("`{}` is out of range for u32", join(parent, key)))
 }
 
 fn required<'a>(
@@ -915,14 +905,24 @@ fn required<'a>(
     find(entries, key).ok_or_else(|| format!("missing key `{path}.{key}`"))
 }
 
+/// Required field `key` of the object at `path`, read by `parse`.
+fn field<T>(
+    entries: &[(String, Value)],
+    path: &str,
+    key: &str,
+    parse: fn(&Value, &str, &str) -> Result<T, String>,
+) -> Result<T, String> {
+    parse(required(entries, key, path)?, path, key)
+}
+
 fn parse_task(value: &Value, path: &str) -> Result<TaskParams, String> {
     let entries = object(value, path)?;
     reject_unknown(entries, &["exec", "deadline", "period", "area"], path)?;
     Ok(TaskParams {
-        exec: parse_f64(required(entries, "exec", path)?, &format!("{path}.exec"))?,
-        deadline: parse_f64(required(entries, "deadline", path)?, &format!("{path}.deadline"))?,
-        period: parse_f64(required(entries, "period", path)?, &format!("{path}.period"))?,
-        area: parse_u32(required(entries, "area", path)?, &format!("{path}.area"))?,
+        exec: field(entries, path, "exec", parse_f64)?,
+        deadline: field(entries, path, "deadline", parse_f64)?,
+        period: field(entries, path, "period", parse_f64)?,
+        area: field(entries, path, "area", parse_u32)?,
     })
 }
 
@@ -942,8 +942,7 @@ fn parse_session_snapshot(value: &Value) -> Result<SessionSnapshot, String> {
         }
         other => return Err(format!("`{path}.lifecycle` must be a string, got {}", other.kind())),
     };
-    let next_handle =
-        parse_u64(required(entries, "next_handle", path)?, &format!("{path}.next_handle"))?;
+    let next_handle = field(entries, path, "next_handle", parse_u64)?;
     let tasks_value = required(entries, "tasks", path)?;
     let items = tasks_value
         .as_seq()
@@ -954,8 +953,7 @@ fn parse_session_snapshot(value: &Value) -> Result<SessionSnapshot, String> {
         let tpath = format!("{path}.tasks[{i}]");
         let task_entries = object(item, &tpath)?;
         reject_unknown(task_entries, &["handle", "task"], &tpath)?;
-        let handle =
-            parse_u64(required(task_entries, "handle", &tpath)?, &format!("{tpath}.handle"))?;
+        let handle = field(task_entries, &tpath, "handle", parse_u64)?;
         let task = parse_task(required(task_entries, "task", &tpath)?, &format!("{tpath}.task"))?;
         if handle >= next_handle || !seen.insert(handle) {
             return Err(format!(
@@ -965,50 +963,163 @@ fn parse_session_snapshot(value: &Value) -> Result<SessionSnapshot, String> {
         task.to_task().map_err(|e| format!("`{tpath}.task` is invalid: {e}"))?;
         tasks.push(SnapshotTask { handle, task });
     }
-    let stats_value = required(entries, "stats", path)?;
-    let stats_entries = object(stats_value, &format!("{path}.stats"))?;
-    reject_unknown(
-        stats_entries,
-        &["decisions", "accepted", "rejected", "tiers"],
-        &format!("{path}.stats"),
-    )?;
     let spath = format!("{path}.stats");
-    let tiers_value = required(stats_entries, "tiers", &spath)?;
-    let tiers_entries = object(tiers_value, &format!("{spath}.tiers"))?;
-    reject_unknown(tiers_entries, &["dp_inc", "gn1", "gn2", "exact"], &format!("{spath}.tiers"))?;
+    let stats_entries = object(required(entries, "stats", path)?, &spath)?;
+    reject_unknown(stats_entries, &["decisions", "accepted", "rejected", "tiers"], &spath)?;
     let tpath = format!("{spath}.tiers");
+    let tiers_entries = object(required(stats_entries, "tiers", &spath)?, &tpath)?;
+    reject_unknown(tiers_entries, &["dp_inc", "gn1", "gn2", "exact"], &tpath)?;
     let stats = QueryStats {
-        decisions: parse_u64(
-            required(stats_entries, "decisions", &spath)?,
-            "snapshot.stats.decisions",
-        )?,
-        accepted: parse_u64(
-            required(stats_entries, "accepted", &spath)?,
-            "snapshot.stats.accepted",
-        )?,
-        rejected: parse_u64(
-            required(stats_entries, "rejected", &spath)?,
-            "snapshot.stats.rejected",
-        )?,
+        decisions: field(stats_entries, &spath, "decisions", parse_u64)?,
+        accepted: field(stats_entries, &spath, "accepted", parse_u64)?,
+        rejected: field(stats_entries, &spath, "rejected", parse_u64)?,
         tiers: TierCounts {
-            dp_inc: parse_u64(
-                required(tiers_entries, "dp_inc", &tpath)?,
-                "snapshot.stats.tiers.dp_inc",
-            )?,
-            gn1: parse_u64(required(tiers_entries, "gn1", &tpath)?, "snapshot.stats.tiers.gn1")?,
-            gn2: parse_u64(required(tiers_entries, "gn2", &tpath)?, "snapshot.stats.tiers.gn2")?,
-            exact: parse_u64(
-                required(tiers_entries, "exact", &tpath)?,
-                "snapshot.stats.tiers.exact",
-            )?,
+            dp_inc: field(tiers_entries, &tpath, "dp_inc", parse_u64)?,
+            gn1: field(tiers_entries, &tpath, "gn1", parse_u64)?,
+            gn2: field(tiers_entries, &tpath, "gn2", parse_u64)?,
+            exact: field(tiers_entries, &tpath, "exact", parse_u64)?,
         },
     };
     Ok(SessionSnapshot { lifecycle, next_handle, tasks, stats })
 }
 
 /// Render one response as a JSONL line (no trailing newline).
+///
+/// Written straight into the line, key by key in [`Response`] field order,
+/// with serde_json's conventions: floats as `{:?}` (non-finite ones as
+/// `null`), absent legacy fields as `null`, absent v2 fields omitted.
+/// Only strings that need escaping and the rare `obs` and `snapshot`
+/// payloads go through `serde_json`.
 pub fn render_response(resp: &Response) -> String {
-    serde_json::to_string(resp).expect("response serialization is infallible")
+    // Room for a typical admit or query line (about 300 bytes).
+    let mut out = String::with_capacity(384);
+    out.push_str("{\"id\":");
+    push_str(&mut out, &resp.id);
+    push_key(&mut out, "seq");
+    push_int(&mut out, resp.seq);
+    push_key(&mut out, "op");
+    push_str(&mut out, &resp.op);
+    push_key(&mut out, "shard");
+    push_int(&mut out, resp.shard);
+    push_key(&mut out, "ok");
+    out.push_str(if resp.ok { "true" } else { "false" });
+    push_key(&mut out, "verdict");
+    push_opt(&mut out, resp.verdict.as_deref(), push_str);
+    push_key(&mut out, "tier");
+    push_opt(&mut out, resp.tier.as_deref(), push_str);
+    push_key(&mut out, "handle");
+    push_opt(&mut out, resp.handle, push_int);
+    push_key(&mut out, "tasks");
+    push_opt(&mut out, resp.tasks.map(|n| n as u64), push_int);
+    push_key(&mut out, "ut");
+    push_opt(&mut out, resp.ut, push_f64);
+    push_key(&mut out, "us");
+    push_opt(&mut out, resp.us, push_f64);
+    push_key(&mut out, "margin");
+    push_opt(&mut out, resp.margin, push_f64);
+    push_key(&mut out, "margins");
+    push_opt(&mut out, resp.margins.as_deref(), push_margins);
+    push_key(&mut out, "stats");
+    push_opt(&mut out, resp.stats.as_ref(), push_stats);
+    push_key(&mut out, "obs");
+    push_opt(&mut out, resp.obs.as_ref(), push_serde);
+    push_key(&mut out, "reason");
+    push_opt(&mut out, resp.reason.as_deref(), push_str);
+    push_key(&mut out, "error");
+    push_opt(&mut out, resp.error.as_deref(), push_str);
+    push_key(&mut out, "latency_us");
+    push_opt(&mut out, resp.latency_us, push_int);
+    if let Some(session) = &resp.session {
+        push_key(&mut out, "session");
+        push_str(&mut out, session);
+    }
+    if let Some(lifecycle) = &resp.lifecycle {
+        push_key(&mut out, "lifecycle");
+        push_str(&mut out, lifecycle);
+    }
+    if let Some(snapshot) = &resp.snapshot {
+        push_key(&mut out, "snapshot");
+        push_serde(&mut out, snapshot);
+    }
+    out.push('}');
+    out
+}
+
+/// `,"key":` — every key after the first.
+fn push_key(out: &mut String, key: &str) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+}
+
+fn push_opt<T>(out: &mut String, value: Option<T>, push: impl FnOnce(&mut String, T)) {
+    match value {
+        Some(v) => push(out, v),
+        None => out.push_str("null"),
+    }
+}
+
+fn push_int(out: &mut String, n: impl Into<u64>) {
+    write!(out, "{}", n.into()).expect("writing to a String is infallible");
+}
+
+fn push_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        write!(out, "{x:?}").expect("writing to a String is infallible");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// A string literal: pushed raw when nothing in it needs escaping, else
+/// escaped by `serde_json` (the one escaper).
+fn push_str(out: &mut String, s: &str) {
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        push_serde(out, s);
+    } else {
+        out.push('"');
+        out.push_str(s);
+        out.push('"');
+    }
+}
+
+fn push_serde<T: Serialize + ?Sized>(out: &mut String, value: &T) {
+    out.push_str(&serde_json::to_string(value).expect("serialization is infallible"));
+}
+
+fn push_margins(out: &mut String, rows: &[PerTaskMargin]) {
+    out.push('[');
+    for (i, row) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"index\":");
+        push_int(out, row.index as u64);
+        push_key(out, "handle");
+        push_opt(out, row.handle, push_int);
+        push_key(out, "margin");
+        push_f64(out, row.margin);
+        out.push('}');
+    }
+    out.push(']');
+}
+
+fn push_stats(out: &mut String, stats: &QueryStats) {
+    out.push_str("{\"decisions\":");
+    push_int(out, stats.decisions);
+    push_key(out, "accepted");
+    push_int(out, stats.accepted);
+    push_key(out, "rejected");
+    push_int(out, stats.rejected);
+    out.push_str(",\"tiers\":{\"dp_inc\":");
+    push_int(out, stats.tiers.dp_inc);
+    push_key(out, "gn1");
+    push_int(out, stats.tiers.gn1);
+    push_key(out, "gn2");
+    push_int(out, stats.tiers.gn2);
+    push_key(out, "exact");
+    push_int(out, stats.tiers.exact);
+    out.push_str("}}");
 }
 
 #[cfg(test)]

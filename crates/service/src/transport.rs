@@ -183,9 +183,12 @@ enum Stream {
 }
 
 impl Stream {
-    fn set_nonblocking(&self) -> std::io::Result<()> {
+    /// Ready an accepted stream for the event loop: non-blocking, and on
+    /// TCP with Nagle's algorithm off, so a response is sent as soon as it
+    /// is written instead of waiting on the peer's delayed ACK.
+    fn setup(&self) -> std::io::Result<()> {
         match self {
-            Stream::Tcp(s) => s.set_nonblocking(true),
+            Stream::Tcp(s) => s.set_nodelay(true).and_then(|()| s.set_nonblocking(true)),
             Stream::Unix(s) => s.set_nonblocking(true),
         }
     }
@@ -347,8 +350,8 @@ impl SocketServer {
             while !stopping && !cfg.max_conns.is_some_and(|m| accepted_total >= m) {
                 match self.listener.accept() {
                     Ok(Some(stream)) => {
-                        if let Err(e) = stream.set_nonblocking() {
-                            return Err(format!("set_nonblocking on accepted conn: {e}"));
+                        if let Err(e) = stream.setup() {
+                            return Err(format!("setting up accepted conn: {e}"));
                         }
                         conns.push(Conn::new(core.open(), stream));
                         accepted_total += 1;
@@ -637,12 +640,14 @@ pub enum ClientStream {
 }
 
 impl ClientStream {
-    /// Connect to a socket endpoint (`Stdio` is not connectable).
+    /// Connect to a socket endpoint (`Stdio` is not connectable). TCP
+    /// connections have Nagle's algorithm off, so each request line is
+    /// sent when written.
     pub fn connect(endpoint: &Endpoint) -> Result<ClientStream, String> {
         match endpoint {
             Endpoint::Stdio => Err("cannot connect to `stdio`".to_string()),
             Endpoint::Tcp(addr) => TcpStream::connect(addr)
-                .map(ClientStream::Tcp)
+                .and_then(|s| s.set_nodelay(true).map(|()| ClientStream::Tcp(s)))
                 .map_err(|e| format!("connect tcp://{addr}: {e}")),
             Endpoint::Unix(path) => UnixStream::connect(path)
                 .map(ClientStream::Unix)
@@ -761,6 +766,21 @@ mod tests {
         for spec in ["stdio", "tcp://127.0.0.1:7411", "unix:///tmp/fpga-rt.sock"] {
             assert_eq!(Endpoint::parse(spec).unwrap().to_string(), spec);
         }
+    }
+
+    #[test]
+    fn tcp_streams_have_nagle_off_on_both_ends() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let endpoint = Endpoint::Tcp(listener.local_addr().expect("addr").to_string());
+        let ClientStream::Tcp(client) = ClientStream::connect(&endpoint).expect("connect") else {
+            panic!("a tcp endpoint connects over TCP")
+        };
+        assert!(client.nodelay().expect("client nodelay"));
+        let (accepted, _) = listener.accept().expect("accept");
+        let stream = Stream::Tcp(accepted);
+        stream.setup().expect("setup");
+        let Stream::Tcp(accepted) = stream else { unreachable!() };
+        assert!(accepted.nodelay().expect("server nodelay"));
     }
 
     #[test]

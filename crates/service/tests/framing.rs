@@ -177,3 +177,28 @@ fn the_shutdown_handle_drains_and_stops_an_unbounded_server() {
     let (stats, _) = handle.join().expect("server thread").expect("serve");
     assert_eq!(stats.requests, 1);
 }
+
+#[test]
+fn deeply_nested_lines_are_malformed_requests_not_a_crash() {
+    let config = golden_config(1);
+    let (endpoint, server) =
+        start_server(&Endpoint::Tcp("127.0.0.1:0".into()), conns(1), config, Obs::off());
+    // 300 KB of `[` (under the 1 MiB line limit), then a valid admit on the
+    // same connection: one response each, in order, and the server lives.
+    let deep = "[".repeat(300_000);
+    let admit = r#"{"op":"admit","task":{"exec":1.0,"deadline":5.0,"period":5.0,"area":2}}"#;
+    let transcript = replay_over_socket(&endpoint, &format!("{deep}\n{admit}\n"));
+    let (stats, _) = server.join().expect("server thread").expect("serve");
+    let lines: Vec<&str> = transcript.lines().collect();
+    assert_eq!(lines.len(), 2, "{transcript}");
+    assert!(
+        lines[0].contains(r#""error":"malformed request: recursion limit exceeded at byte 128""#),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[0].contains(r#""seq":0"#), "{}", lines[0]);
+    assert!(lines[1].contains(r#""seq":1"#), "{}", lines[1]);
+    assert!(lines[1].contains(r#""ok":true,"verdict":"accept""#), "{}", lines[1]);
+    assert_eq!(stats.requests, 2);
+    assert_eq!(stats.errors, 1);
+}
