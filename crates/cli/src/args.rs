@@ -1,25 +1,117 @@
-//! Shared, checked flag parsers — the single implementation of the CLI's
-//! usage-error discipline.
+//! The command line's one argument parser and its checked flag parsers —
+//! the single implementation of the CLI's usage-error discipline.
 //!
-//! Every subcommand resolves its numeric/enum/path flags through this
-//! module instead of `Args::get` (which silently falls back to the default
-//! on a parse failure — fine for study binaries, wrong for CI-gating
-//! subcommands where a typo like `--per-bin 25O` must not quietly gate a
+//! [`Args`] splits a command line into flags and positional arguments;
+//! [`Args::check_flags`] rejects any flag the command does not accept, so
+//! a typo such as `--per-bni 500` is a usage error rather than a silently
+//! default-sized run. Every numeric, enum and path flag then resolves
+//! through a parser here that rejects unparseable values instead of
+//! falling back to the default (`--per-bin 25O` must not quietly gate a
 //! different population). All parsers return `Err(String)`, which the
-//! dispatcher maps to process exit code 2, so every rejected form produces
-//! a uniform usage error. The rejected forms are regression-tested once,
-//! centrally, in `commands.rs`.
+//! dispatcher maps to process exit code 2, so every rejected form
+//! produces a uniform usage error. The rejected forms are
+//! regression-tested once, centrally, below and in `commands.rs`.
 
-use fpga_rt_exp::cli::Args;
+use fpga_rt_exp::studies::DEFAULT_SIM_HORIZON;
 use fpga_rt_obs::{Obs, Snapshot};
 use fpga_rt_service::Endpoint;
+use std::collections::HashMap;
+
+/// Parsed `--key value` / `--flag` command-line options plus positional
+/// arguments.
+#[derive(Debug, Clone, Default)]
+pub struct Args {
+    /// `--key value` pairs (a key present without a value maps to `""`).
+    pub flags: HashMap<String, String>,
+    /// Non-flag arguments in order.
+    pub positional: Vec<String>,
+    /// Flags given more than once (the last value is kept in `flags`).
+    repeated: Vec<String>,
+}
+
+impl Args {
+    /// Parse from any iterator of argument strings (without the binary
+    /// and command names). A `--key` takes the next argument as its value
+    /// unless that argument is itself a `--flag`.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+        let mut out = Args::default();
+        let mut iter = args.into_iter().peekable();
+        while let Some(a) = iter.next() {
+            if let Some(key) = a.strip_prefix("--") {
+                let value = match iter.peek() {
+                    Some(v) if !v.starts_with("--") => iter.next().unwrap_or_default(),
+                    _ => String::new(),
+                };
+                if out.flags.insert(key.to_string(), value).is_some() {
+                    out.repeated.push(key.to_string());
+                }
+            } else {
+                out.positional.push(a);
+            }
+        }
+        out
+    }
+
+    /// `true` when `--key` was present (with or without a value).
+    pub fn has(&self, key: &str) -> bool {
+        self.flags.contains_key(key)
+    }
+
+    /// `--seed` as a **checked** `u64`: absent means `default`, but a
+    /// present-and-unparseable value (`--seed 0x2a`, `--seed 12e3`, an
+    /// empty value from `--seed --deterministic`) is a usage error —
+    /// silently substituting the default would reproduce a different
+    /// population than the one the operator asked for.
+    pub fn seed(&self, default: u64) -> Result<u64, String> {
+        match self.flags.get("seed") {
+            None => Ok(default),
+            Some(v) => v
+                .parse::<u64>()
+                .map_err(|_| format!("--seed expects an unsigned 64-bit integer, got {v:?}")),
+        }
+    }
+
+    /// Reject every flag of `command` outside `valued` (flags that take a
+    /// value) and `switches` (flags that take none), a value given to a
+    /// switch — `--deterministic fig4b` would otherwise swallow the stray
+    /// argument — and a flag given twice. Offenders are reported in name
+    /// order.
+    pub(crate) fn check_flags(
+        &self,
+        command: &str,
+        valued: &[&str],
+        switches: &[&str],
+    ) -> Result<(), String> {
+        if let Some(key) = self.repeated.first() {
+            return Err(format!("{command}: --{key} is given more than once"));
+        }
+        let mut keys: Vec<&String> = self.flags.keys().collect();
+        keys.sort();
+        for key in keys {
+            let value = &self.flags[key];
+            if switches.contains(&key.as_str()) {
+                if !value.is_empty() {
+                    return Err(format!("{command}: --{key} takes no value, got {value:?}"));
+                }
+            } else if !valued.contains(&key.as_str()) {
+                let accepted: Vec<String> =
+                    valued.iter().chain(switches).map(|f| format!("--{f}")).collect();
+                return Err(format!(
+                    "{command}: unknown flag --{key} (accepted: {})",
+                    accepted.join(" ")
+                ));
+            }
+        }
+        Ok(())
+    }
+}
 
 /// Parse `--key` as a count that must be ≥ 1 when given. Returns `None`
 /// when the flag is absent (the caller's default applies — e.g. "all
 /// cores" for worker counts). An explicit `0` or an unparseable value is
-/// a usage error: `Args::get` would silently fall back to the default,
-/// which for `--workers 0` / `--shards 0` used to leak the internal
-/// "auto" sentinel into, or silently correct, downstream sizing.
+/// a usage error: for `--workers 0` / `--shards 0` a silent fallback used
+/// to leak the internal "auto" sentinel into, or silently correct,
+/// downstream sizing.
 pub(crate) fn positive_count(args: &Args, key: &str) -> Result<Option<usize>, String> {
     match args.flags.get(key) {
         None => Ok(None),
@@ -88,10 +180,14 @@ pub(crate) fn connect_endpoint(args: &Args) -> Result<Endpoint, String> {
     }
 }
 
-/// Parse `--seed` through the shared checked helper (usage error on
-/// garbage, the documented default when absent).
-pub(crate) fn seed(args: &Args, default: u64) -> Result<u64, String> {
-    args.seed(default)
+/// Parse `--sim-horizon` (conform, study): a finite positive multiple of
+/// the largest task period, [`DEFAULT_SIM_HORIZON`] when absent.
+pub(crate) fn sim_horizon(args: &Args) -> Result<f64, String> {
+    let horizon = parsed_flag(args, "sim-horizon", DEFAULT_SIM_HORIZON)?;
+    if !(horizon.is_finite() && horizon > 0.0) {
+        return Err(format!("--sim-horizon must be a positive factor, got {horizon}"));
+    }
+    Ok(horizon)
 }
 
 /// An artifact encoding, dispatched on the output file's extension.
@@ -180,9 +276,7 @@ pub(crate) fn write_metrics(
 }
 
 /// Parse `--key` as a typed value, erroring on unparseable input instead
-/// of silently using the default (`Args::get` does the latter — fine for
-/// study binaries, wrong for CI-gating subcommands where a typo like
-/// `--per-bin 25O` must not quietly gate a different population).
+/// of silently using the default.
 pub(crate) fn parsed_flag<T: std::str::FromStr>(
     args: &Args,
     key: &str,
@@ -222,9 +316,16 @@ mod tests {
             .contains("positive entry count"));
         assert_eq!(cache_entries(&args(&[])).unwrap(), Some(1024));
         assert_eq!(cache_entries(&args(&["--cache", "off"])).unwrap(), None);
-        // --seed.
-        assert!(seed(&args(&["--seed", "12e3"]), 7).unwrap_err().contains("unsigned 64-bit"));
-        assert_eq!(seed(&args(&[]), 7).unwrap(), 7);
+        // --seed, including `--seed --flag`, which leaves an empty value.
+        for bad in [&["--seed", "12e3"][..], &["--seed", "0x2a"], &["--seed", "-1"], &["--seed"]] {
+            assert!(args(bad).seed(7).unwrap_err().contains("unsigned 64-bit"), "{bad:?}");
+        }
+        assert_eq!(args(&[]).seed(7).unwrap(), 7);
+        assert_eq!(args(&["--seed", "123"]).seed(7).unwrap(), 123);
+        // --sim-horizon.
+        assert!(sim_horizon(&args(&["--sim-horizon", "0"])).unwrap_err().contains("positive"));
+        assert!(sim_horizon(&args(&["--sim-horizon", "inf"])).unwrap_err().contains("positive"));
+        assert_eq!(sim_horizon(&args(&[])).unwrap(), DEFAULT_SIM_HORIZON);
         // --exact-margin.
         assert!(exact_margin(&args(&["--exact-margin", "-1"]))
             .unwrap_err()
@@ -271,5 +372,31 @@ mod tests {
         assert!(parsed_flag::<usize>(&args(&["--per-bin", "25O"]), "per-bin", 1)
             .unwrap_err()
             .contains("cannot parse"));
+    }
+
+    #[test]
+    fn parses_flags_and_positionals() {
+        let a = args(&["figures", "--per-bin", "500", "--deterministic", "--seed", "7", "x"]);
+        assert_eq!(a.positional, vec!["figures", "x"]);
+        assert_eq!(a.flags["per-bin"], "500");
+        assert_eq!(a.flags["deterministic"], "", "a flag followed by a flag has no value");
+        assert_eq!(a.seed(0).unwrap(), 7);
+        assert!(a.has("deterministic") && !a.has("missing"));
+    }
+
+    /// Unknown flags and values given to switches are usage errors that
+    /// name the flag.
+    #[test]
+    fn check_flags_rejects_unknown_flags_and_switch_values() {
+        let check =
+            |line: &[&str]| args(line).check_flags("sweep", &["per-bin"], &["deterministic"]);
+        assert!(check(&["--per-bin", "5", "--deterministic"]).is_ok());
+        let err = check(&["--per-bni", "5"]).unwrap_err();
+        assert!(err.contains("unknown flag --per-bni"), "{err}");
+        assert!(err.contains("--per-bin --deterministic"), "lists the accepted flags: {err}");
+        let err = check(&["--deterministic", "fig4b"]).unwrap_err();
+        assert!(err.contains("--deterministic takes no value"), "{err}");
+        let err = check(&["--per-bin", "5", "--per-bin", "50"]).unwrap_err();
+        assert!(err.contains("--per-bin is given more than once"), "{err}");
     }
 }

@@ -2,12 +2,12 @@
 
 use crate::args::{
     artifact_target, cache_entries, connect_endpoint, exact_margin, listen_endpoint,
-    metrics_target, parsed_flag, positive_count, write_metrics, ArtifactFormat,
+    metrics_target, parsed_flag, positive_count, sim_horizon, write_metrics, Args, ArtifactFormat,
 };
 use crate::io::{device_from, taskset_from};
 use crate::ExitCode;
 use fpga_rt_analysis::{AnyOfTest, DpTest, Gn1Test, Gn2Test, NecessaryTest, SchedTest, TestReport};
-use fpga_rt_exp::cli::Args;
+use fpga_rt_exp::studies::{Study, StudyConfig, DEFAULT_SEED};
 use fpga_rt_exp::sweep::{analysis_evaluators, run_pool_sweep, PoolSweepConfig};
 use fpga_rt_gen::{FigureWorkload, TasksetSpec, UtilizationBins};
 use fpga_rt_model::{Fpga, Rat64, TaskSet};
@@ -19,7 +19,8 @@ use fpga_rt_sim::{
 };
 use std::io::Write;
 
-type CmdResult = Result<ExitCode, String>;
+/// A command's outcome; `Err` is a usage or input error (exit code 2).
+pub(crate) type CmdResult = Result<ExitCode, String>;
 
 /// Run `f`, mapping a `Rat64` i64-overflow panic into a clean usage error
 /// (process exit code 2) instead of a crash.
@@ -159,8 +160,8 @@ pub fn simulate(args: &Args, out: &mut dyn Write) -> CmdResult {
     let mut config = SimConfig::default()
         .with_scheduler(scheduler)
         .with_placement(placement)
-        .with_horizon(Horizon::PeriodsOfTmax(args.get("horizon", 100.0)));
-    let oh = args.get("overhead-per-column", 0.0f64);
+        .with_horizon(Horizon::PeriodsOfTmax(parsed_flag(args, "horizon", 100.0)?));
+    let oh = parsed_flag(args, "overhead-per-column", 0.0f64)?;
     if oh > 0.0 {
         config = config.with_overhead(ReconfigOverhead::PerColumn(oh));
     }
@@ -236,7 +237,7 @@ fn size_rows<T: fpga_rt_model::Time>(
 /// `--exact`) exact rational arithmetic.
 pub fn size(args: &Args, out: &mut dyn Write) -> CmdResult {
     let ts = taskset_from(args)?;
-    let max = args.get("max", 1000u32);
+    let max = parsed_flag(args, "max", 1000u32)?;
     let lo = ts.amax();
 
     let rows = if args.has("exact") {
@@ -268,10 +269,13 @@ pub fn size(args: &Args, out: &mut dyn Write) -> CmdResult {
 pub fn generate(args: &Args, out: &mut dyn Write) -> CmdResult {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    let seed = crate::args::seed(args, 42)?;
+    let seed = args.seed(42)?;
     let spec = match args.flags.get("figure") {
+        Some(_) if args.has("n") => {
+            return Err("--n and --figure are exclusive: a figure fixes its task count".into())
+        }
         Some(id) => FigureWorkload::by_id(id).ok_or_else(|| format!("unknown figure {id:?}"))?.spec,
-        None => TasksetSpec::unconstrained(args.get("n", 10usize)),
+        None => TasksetSpec::unconstrained(parsed_flag(args, "n", 10usize)?),
     };
     let ts = spec.generate(&mut StdRng::seed_from_u64(seed));
     let json = if args.has("pretty") {
@@ -284,19 +288,12 @@ pub fn generate(args: &Args, out: &mut dyn Write) -> CmdResult {
     Ok(ExitCode::Accepted)
 }
 
-/// `fpga-rt tables` — the paper's Tables 1–3 verdict matrix (each case is
-/// evaluated in f64 *and* exact arithmetic, hence the overflow guard).
+/// `fpga-rt tables` — the paper's Tables 1–3: each verdict matrix (in f64
+/// *and* exact arithmetic, hence the overflow guard) with a simulation
+/// cross-check, then the Table 3 GN2 λ walkthrough.
 pub fn tables(out: &mut dyn Write) -> CmdResult {
-    let rendered = catch_rat64_overflow(|| {
-        fpga_rt_exp::tables::paper_tables()
-            .iter()
-            .map(fpga_rt_exp::tables::render_table_case)
-            .collect::<Vec<_>>()
-    })?;
-    for case in rendered {
-        let _ = write!(out, "{case}");
-        let _ = writeln!(out);
-    }
+    let report = catch_rat64_overflow(fpga_rt_exp::tables::render_tables_report)?;
+    let _ = write!(out, "{report}");
     Ok(ExitCode::Accepted)
 }
 
@@ -316,7 +313,7 @@ pub fn sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
         return Err("--bins must be ≥ 1".into());
     }
     let per_bin = positive_count(args, "per-bin")?.unwrap_or(200);
-    let seed = crate::args::seed(args, fpga_rt_exp::cli::DEFAULT_SEED)?;
+    let seed = args.seed(DEFAULT_SEED)?;
     let deterministic = args.has("deterministic");
     let out_target = artifact_target(args, "out", &[ArtifactFormat::Json, ArtifactFormat::Csv])?;
     let (metrics, obs) = metrics_target(args, deterministic)?;
@@ -369,6 +366,49 @@ pub fn sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
     Ok(ExitCode::Accepted)
 }
 
+/// `fpga-rt study <name>` — one of the reproduction's studies
+/// ([`Study`]): the paper's figures with both simulations, the X1–X3
+/// ablations, or an extension study. Stdout and the `--out` artifact (every
+/// table, as JSON or long-form CSV) are byte-identical for every
+/// `--workers` value at a fixed seed.
+pub fn study(args: &Args, out: &mut dyn Write) -> CmdResult {
+    let names = || Study::ALL.map(Study::name).join("|");
+    let study = match args.positional.as_slice() {
+        [name] => {
+            Study::by_name(name).ok_or_else(|| format!("unknown study {name:?} ({})", names()))?
+        }
+        [] => return Err(format!("study: name a study ({})", names())),
+        [_, stray, ..] => return Err(format!("study: unexpected argument {stray:?}")),
+    };
+    let mut config = StudyConfig::new(study);
+    match (study.default_figure(), args.flags.get("figure")) {
+        (None, Some(_)) => {
+            return Err(format!("--figure does not apply to study {}", study.name()))
+        }
+        (Some(_), Some(figure)) => config.workloads = study.workloads(figure)?,
+        (_, None) => {}
+    }
+    if args.has("sim-horizon") && !study.simulates() {
+        return Err(format!("--sim-horizon does not apply to study {}", study.name()));
+    }
+    config.per_bin = positive_count(args, "per-bin")?.unwrap_or(config.per_bin);
+    config.seed = args.seed(DEFAULT_SEED)?;
+    config.sim_horizon = sim_horizon(args)?;
+    config.workers = positive_count(args, "workers")?.unwrap_or(0);
+    let out_target = artifact_target(args, "out", &[ArtifactFormat::Json, ArtifactFormat::Csv])?;
+
+    let output = study.run(&config)?;
+    let _ = write!(out, "{}", output.text);
+    if let Some((path, format)) = &out_target {
+        let rendered = match format {
+            ArtifactFormat::Csv => output.render_csv(),
+            _ => output.render_json(),
+        };
+        std::fs::write(path, rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
+    }
+    Ok(ExitCode::Accepted)
+}
+
 /// `fpga-rt conform` — cross-validate every analytic verdict against the
 /// discrete-event simulator over binned UUniFast populations, classifying
 /// each (taskset, evaluator) pair into sound-accept / sound-reject /
@@ -391,12 +431,9 @@ pub fn conform(args: &Args, out: &mut dyn Write) -> CmdResult {
         return Err("--bins must be ≥ 1".into());
     }
     let per_bin = positive_count(args, "per-bin")?.unwrap_or(100);
-    let seed = crate::args::seed(args, fpga_rt_exp::cli::DEFAULT_SEED)?;
+    let seed = args.seed(DEFAULT_SEED)?;
     let workers = positive_count(args, "workers")?.unwrap_or(0);
-    let sim_horizon = parsed_flag(args, "sim-horizon", 50.0f64)?;
-    if !(sim_horizon.is_finite() && sim_horizon > 0.0) {
-        return Err(format!("--sim-horizon must be a positive factor, got {sim_horizon}"));
-    }
+    let sim_horizon = sim_horizon(args)?;
     let deterministic = args.has("deterministic");
 
     if args.has("twod") {
@@ -584,7 +621,7 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> CmdResult {
     let rate = if elapsed > 0.0 { stats.requests as f64 / elapsed } else { 0.0 };
     eprintln!(
         "served {} requests in {} batches ({rate:.0} req/s): \
-         {} accepted, {} rejected, {} errors; \
+         lifetime {} accepted, {} rejected, {} errors; \
          tiers dp-inc={} gn1={} gn2={} exact={}",
         stats.requests,
         stats.batches,
@@ -677,7 +714,7 @@ pub fn loadgen(args: &Args, out: &mut dyn Write) -> CmdResult {
         .unwrap_or(config.rounds as usize)
         .min(u32::MAX as usize) as u32;
     config.workers = positive_count(args, "workers")?.unwrap_or(0);
-    config.seed = crate::args::seed(args, fpga_rt_exp::cli::DEFAULT_SEED)?;
+    config.seed = args.seed(DEFAULT_SEED)?;
     config.deterministic = args.has("deterministic");
     config.cache = cache_entries(args)?;
 
@@ -1547,6 +1584,105 @@ mod tests {
         }
     }
 
+    /// Run `fpga-rt study <name>` at tiny scale on one and on three
+    /// workers; both transcripts and `--out` artifacts must agree. Returns
+    /// the transcript and the tables read back from the JSON artifact.
+    fn tiny_study(name: &str) -> (String, Vec<fpga_rt_exp::studies::StudyTable>) {
+        let study = Study::by_name(name).unwrap();
+        let dir = std::env::temp_dir().join("fpga-rt-cli-cmds");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut runs = Vec::new();
+        for workers in ["1", "3"] {
+            let path = dir.join(format!("study-{name}-w{workers}.json"));
+            let out_path = path.to_string_lossy().into_owned();
+            let mut line =
+                vec!["study", name, "--per-bin", "2", "--seed", "7", "--workers", workers];
+            line.extend(["--out", &out_path]);
+            if study.simulates() {
+                line.extend(["--sim-horizon", "10"]);
+            }
+            let argv: Vec<String> = line.iter().map(|s| s.to_string()).collect();
+            let mut buf = Vec::new();
+            let code = crate::run(&argv, &mut buf);
+            assert_eq!(code, ExitCode::Accepted, "{name}");
+            runs.push((String::from_utf8(buf).unwrap(), std::fs::read_to_string(&path).unwrap()));
+        }
+        assert_eq!(runs[0], runs[1], "study {name} differs across worker counts");
+        let (text, json) = runs.remove(0);
+        (text, serde_json::from_str(&json).expect("valid study JSON"))
+    }
+
+    #[test]
+    fn study_figures_runs() {
+        let (text, tables) = tiny_study("figures");
+        assert_eq!(tables.len(), 4, "all four figures by default");
+        assert!(text.contains("SIM-FkF") && text.contains("(2 tasksets/bin, seed 7)"), "{text}");
+    }
+
+    #[test]
+    fn study_ablations_runs() {
+        let (text, tables) = tiny_study("ablations");
+        assert_eq!(tables.len(), 3);
+        assert!(text.starts_with("== X1-gn1-denominator"), "{text}");
+    }
+
+    #[test]
+    fn study_placement_runs() {
+        let (text, tables) = tiny_study("placement");
+        assert_eq!(tables[0].table, "X5-placement/fig3b");
+        assert!(text.contains("NF/worst-fit"), "{text}");
+    }
+
+    #[test]
+    fn study_overhead_runs() {
+        let (text, tables) = tiny_study("overhead");
+        assert_eq!(tables[0].result.series.len(), 10, "SIM@ and ANY@ at five overheads");
+        assert!(text.starts_with("Overhead sensitivity on fig3b"), "{text}");
+    }
+
+    #[test]
+    fn study_partitioned_runs() {
+        let (text, _) = tiny_study("partitioned");
+        assert!(text.contains("P-EDF/alloc"), "{text}");
+    }
+
+    #[test]
+    fn study_release_runs() {
+        let (text, _) = tiny_study("release");
+        assert!(text.contains("OFFS×5"), "{text}");
+    }
+
+    #[test]
+    fn study_twod_runs() {
+        let (text, tables) = tiny_study("twod");
+        assert_eq!(tables[0].table, "X10-twod");
+        assert!(text.contains("2D-SIM-FkF"), "{text}");
+    }
+
+    /// Unknown or missing study names, and flags a study has no use for,
+    /// are usage errors (exit 2).
+    #[test]
+    fn study_names_and_flags_are_checked() {
+        let run = |line: &[&str]| {
+            let argv: Vec<String> = line.iter().map(|s| s.to_string()).collect();
+            match crate::run(&argv, &mut Vec::new()) {
+                ExitCode::Error(msg) => msg,
+                other => panic!("{line:?} exited {other:?}"),
+            }
+        };
+        let all = "figures|ablations|placement|overhead|partitioned|release|twod";
+        let err = run(&["study", "fig3b"]);
+        assert!(err.contains("unknown study \"fig3b\"") && err.contains(all), "{err}");
+        assert!(run(&["study"]).contains(all));
+        assert!(run(&["study", "twod", "extra"]).contains("unexpected argument \"extra\""));
+        assert!(run(&["study", "twod", "--figure", "fig3a"]).contains("does not apply"));
+        assert!(run(&["study", "twod", "--sim-horizon", "9"]).contains("does not apply"));
+        assert!(run(&["study", "ablations", "--sim-horizon", "9"]).contains("does not apply"));
+        assert!(run(&["study", "placement", "--figure", "all"]).contains("unknown figure"));
+        assert!(run(&["study", "release", "--per-bin", "0"]).contains("must be ≥ 1"));
+        assert!(run(&["study", "release", "--out", "x.txt"]).contains(".json|.csv"));
+    }
+
     #[test]
     fn size_finds_minimums() {
         let path = write_taskset("sz.json", &[(1.0, 10.0, 10.0, 5), (1.0, 8.0, 8.0, 3)]);
@@ -1579,5 +1715,8 @@ mod tests {
             serde_json::from_str(String::from_utf8(buf).unwrap().trim()).unwrap();
         assert_eq!(ts.len(), 10);
         assert!(ts.amin() >= 50);
+        // A figure fixes the task count; `--n` beside it would be ignored.
+        let err = generate(&args(&["--figure", "fig4a", "--n", "3"]), &mut Vec::new()).unwrap_err();
+        assert!(err.contains("exclusive"), "{err}");
     }
 }

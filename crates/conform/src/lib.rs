@@ -30,8 +30,8 @@
 //! **zero violations over ≥10 000 tasksets across all four figures**.
 //!
 //! Entry points: [`run_conform`] (1-D), [`run_twod_bridge`] (the 2-D
-//! column-projection bridge), the `fpga-rt conform` CLI subcommand, the
-//! `conform_study` binary, and the `conform_throughput` bench.
+//! column-projection bridge), the `fpga-rt conform` command (its one
+//! front end), and the `conform_throughput` bench.
 //!
 //! ```
 //! use fpga_rt_conform::{paper_conform_evaluators, run_conform, ConformConfig};

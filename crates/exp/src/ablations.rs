@@ -10,9 +10,9 @@
 //! * **X3** — DP's area bound: the paper's integer `A(H) − Amax + 1` vs
 //!   Danne & Platzner's real-valued `A(H) − Amax`.
 
-use crate::acceptance::{run_sweep, Evaluator, SweepConfig, SweepResult};
+use crate::acceptance::Evaluator;
+use crate::sweep::{run_pool_sweep, PoolSweepConfig, PoolSweepOutcome};
 use fpga_rt_analysis::{DpTest, Gn1Test, Gn2Test};
-use fpga_rt_gen::FigureWorkload;
 
 /// One ablation: a name plus the pair of evaluators to contrast.
 pub struct Ablation {
@@ -54,20 +54,20 @@ pub fn all_ablations() -> Vec<Ablation> {
     ]
 }
 
-/// Run one ablation on a workload.
-pub fn run_ablation(
-    ablation: &Ablation,
-    workload: FigureWorkload,
-    per_bin: usize,
-    seed: u64,
-) -> SweepResult {
-    let config = SweepConfig::new(workload, per_bin, seed);
-    run_sweep(&config, &ablation.evaluators, None)
+/// Run one ablation on the sweep's workload, bins and seed.
+pub fn run_ablation(ablation: &Ablation, config: &PoolSweepConfig) -> PoolSweepOutcome {
+    run_pool_sweep(config, &ablation.evaluators)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acceptance::SweepResult;
+    use fpga_rt_gen::FigureWorkload;
+
+    fn run(ablation: &Ablation) -> SweepResult {
+        run_ablation(ablation, &PoolSweepConfig::new(FigureWorkload::fig3a(), 6, 11)).result
+    }
 
     #[test]
     fn ablation_catalogue_is_complete() {
@@ -89,17 +89,17 @@ mod tests {
     fn ablation_dominance_holds_binwise() {
         let ablations = all_ablations();
 
-        let x1 = run_ablation(&ablations[0], FigureWorkload::fig3a(), 6, 11);
+        let x1 = run(&ablations[0]);
         assert_eq!(x1.series.len(), 2);
         assert_eq!(x1.series[0].name, "GN1");
         assert_eq!(x1.series[1].name, "GN1-bcl");
 
-        let x2 = run_ablation(&ablations[1], FigureWorkload::fig3a(), 6, 11);
+        let x2 = run(&ablations[1]);
         for (p_base, p_alt) in x2.series[0].points.iter().zip(&x2.series[1].points) {
             assert!(p_alt.accepted >= p_base.accepted, "grid ⊇ paper points");
         }
 
-        let x3 = run_ablation(&ablations[2], FigureWorkload::fig3a(), 6, 11);
+        let x3 = run(&ablations[2]);
         for (p_base, p_alt) in x3.series[0].points.iter().zip(&x3.series[1].points) {
             assert!(p_base.accepted >= p_alt.accepted, "integer bound dominates");
         }

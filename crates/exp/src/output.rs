@@ -1,4 +1,4 @@
-//! Rendering sweep results as aligned text, markdown and CSV, plus the
+//! Rendering sweep results as aligned text and CSV, plus the
 //! shared buffered cell writers every tabular renderer in the workspace
 //! builds on.
 //!
@@ -154,14 +154,25 @@ impl TextWriter {
 /// Render an aligned plain-text table: one row per utilization bin, one
 /// column per series — the same rows the paper's figures plot.
 pub fn render_text(result: &SweepResult) -> String {
+    let title = format!("{}: {}", result.workload_id, result.caption);
+    render_aligned(&title, result, |_| 9)
+}
+
+/// [`render_text`]'s layout under an arbitrary title line, with each
+/// series column `width(name)` characters wide.
+pub(crate) fn render_aligned(
+    title: &str,
+    result: &SweepResult,
+    width: impl Fn(&str) -> usize,
+) -> String {
     let mut out = TextWriter::new();
-    out.rawf(format_args!("{}: {}\n", result.workload_id, result.caption));
+    out.rawf(format_args!("{title}\n"));
     out.right_str(6, "US/A");
     out.raw(" ");
     out.right_str(8, "samples");
     for s in &result.series {
         out.raw(" ");
-        out.right_str(9, &s.name);
+        out.right_str(width(&s.name), &s.name);
     }
     out.newline();
     let n = result.series.first().map(|s| s.points.len()).unwrap_or(0);
@@ -172,37 +183,11 @@ pub fn render_text(result: &SweepResult) -> String {
         out.right_usize(8, p0.samples);
         for s in &result.series {
             out.raw(" ");
-            out.right_f64(9, 3, s.points[i].ratio());
+            out.right_f64(width(&s.name), 3, s.points[i].ratio());
         }
         out.newline();
     }
     out.finish()
-}
-
-/// Render a GitHub-flavoured markdown table.
-pub fn render_markdown(result: &SweepResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "### {} — {}\n", result.workload_id, result.caption);
-    let _ = write!(out, "| US/A(H) | samples |");
-    for s in &result.series {
-        let _ = write!(out, " {} |", s.name);
-    }
-    out.push('\n');
-    let _ = write!(out, "|---|---|");
-    for _ in &result.series {
-        let _ = write!(out, "---|");
-    }
-    out.push('\n');
-    let n = result.series.first().map(|s| s.points.len()).unwrap_or(0);
-    for i in 0..n {
-        let p0 = &result.series[0].points[i];
-        let _ = write!(out, "| {:.3} | {} |", p0.utilization, p0.samples);
-        for s in &result.series {
-            let _ = write!(out, " {:.3} |", s.points[i].ratio());
-        }
-        out.push('\n');
-    }
-    out
 }
 
 /// Render CSV with header `utilization,samples,<series...>`.
@@ -312,16 +297,6 @@ mod tests {
         w.f64_cell(0.5, 4);
         w.end_row();
         assert_eq!(w.finish(), "plain,\"with,comma\",\"with\"\"quote\",7,0.5000\n");
-    }
-
-    #[test]
-    fn markdown_is_well_formed() {
-        let s = render_markdown(&sample_result());
-        let rows: Vec<&str> = s.lines().filter(|l| l.starts_with('|')).collect();
-        assert_eq!(rows.len(), 4, "header + separator + 2 data rows");
-        for r in &rows {
-            assert_eq!(r.matches('|').count(), 5);
-        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Pool-backed parallel acceptance-ratio sweep engine.
+//! Pool-backed parallel acceptance-ratio sweep engine — the workspace's
+//! one sweep runner.
 //!
-//! [`crate::acceptance::run_sweep`] owns an ad-hoc set of scoped threads;
-//! this module fans the same bin × sample work units across the
-//! workspace-wide deterministic worker pool
-//! ([`fpga_rt_pool::ShardedPool`]) instead, which buys three things:
+//! [`run_pool_sweep`] fans the bin × sample work units across the
+//! workspace-wide deterministic worker pool ([`fpga_rt_pool::ShardedPool`]),
+//! which buys three things:
 //!
 //! * **Scale** — the paper's figures use a handful of ~10 000-taskset
 //!   experiment groups; a pool sweep makes 10–100× larger populations (the
@@ -12,29 +12,29 @@
 //!   batched so memory stays flat.
 //! * **Determinism by construction** — every sample draws its taskset from
 //!   [`crate::acceptance::sample_seed`]`(seed, bin, sample)`, so curves are
-//!   byte-identical across worker counts *and* identical to what the
-//!   scoped-thread runner produces for the same configuration (asserted by
-//!   tests).
-//! * **Containment** — a panicking evaluator poisons one work unit
-//!   (counted in [`PoolSweepOutcome::failed_units`]), not the whole sweep.
+//!   byte-identical across worker counts *and* identical to a plain
+//!   sequential tally of the same samples (asserted by tests).
+//! * **Containment** — a panicking evaluator poisons one
+//!   [`BATCH_SAMPLES`]-sample work unit (counted in
+//!   [`PoolSweepOutcome::failed_units`]), not the whole sweep.
 //!
 //! ## Kernels
 //!
-//! When every evaluator is analysis-kind ([`Evaluator::analysis`] — the
-//! [`analysis_evaluators`] suite), the engine takes the **batch path**: a
-//! work unit is a [`BATCH_SAMPLES`]-sample block, each worker packs its
-//! block into a per-worker [`TaskSetBatch`] (structure-of-arrays columns,
-//! λ candidates pre-sorted at pack time, held in `fpga-rt-pool` shard
-//! state) and one [`BatchAnalyzer`] pass produces all four verdicts with
-//! zero per-taskset heap allocation. Any custom evaluator in the list
+//! Every work unit is a [`BATCH_SAMPLES`]-sample block. When every
+//! evaluator is analysis-kind ([`Evaluator::analysis`] — the
+//! [`analysis_evaluators`] suite), the engine takes the **batch path**:
+//! each worker packs its block into a per-worker [`TaskSetBatch`]
+//! (structure-of-arrays columns, λ candidates pre-sorted at pack time,
+//! held in `fpga-rt-pool` shard state) and one [`BatchAnalyzer`] pass
+//! produces all four verdicts with zero per-taskset heap allocation. Any custom evaluator in the list
 //! falls back to the per-sample path (with a per-worker [`ScratchSpace`]
 //! so analysis-kind members of a mixed list still ride the kernel). Both
 //! paths evaluate the same analysis kernel, so the choice never shows up
 //! in artifacts.
 //!
-//! The result reuses [`SweepResult`], so the text/markdown/CSV renderers in
+//! The result reuses [`SweepResult`], so the text/CSV renderers in
 //! [`crate::output`] and `serde_json` serialization apply unchanged. The
-//! `fpga-rt sweep` CLI subcommand and the `sweep` study binary wrap this
+//! `fpga-rt sweep` command and every [`crate::studies`] study run on this
 //! module; `cargo bench -p fpga-rt-bench --bench sweep_throughput` measures
 //! its scaling.
 //!
@@ -62,11 +62,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Samples per batch-path work unit: large enough to amortize pool
-/// messaging and keep the SoA columns cache-resident, small enough that a
-/// contained panic loses little. Fixed (never derived from `workers` or
-/// `chunk`) so the unit decomposition — and therefore every artifact — is
-/// invariant in both.
+/// Samples per work unit: large enough to amortize pool messaging and
+/// keep the SoA columns cache-resident, small enough that a contained
+/// panic loses little. Fixed (never derived from `workers` or `chunk`) so
+/// the unit decomposition — and therefore every artifact — is invariant
+/// in both.
 pub const BATCH_SAMPLES: usize = 64;
 
 /// Configuration of a pool-backed sweep.
@@ -119,15 +119,14 @@ impl PoolSweepConfig {
 /// that [`SweepResult`] has no room for.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolSweepOutcome {
-    /// The acceptance-ratio curves (same shape as
-    /// [`crate::acceptance::run_sweep`] produces).
+    /// The acceptance-ratio curves.
     pub result: SweepResult,
-    /// Work units whose generator exhausted its attempt budget (the bin
-    /// quota is reported short, exactly like the scoped-thread runner).
+    /// Samples whose generator exhausted its attempt budget (the bin
+    /// quota is reported short).
     pub exhausted_units: usize,
-    /// Samples lost to a panicking evaluator (contained by the pool). On
-    /// the batch path a panic poisons its whole [`BATCH_SAMPLES`] block,
-    /// and every sample of the block is counted here.
+    /// Samples lost to a panicking evaluator (contained by the pool). A
+    /// panic poisons its whole [`BATCH_SAMPLES`] block, and every sample
+    /// of the block is counted here.
     pub failed_units: usize,
     /// The resolved pool worker count the sweep actually used.
     pub workers: usize,
@@ -165,15 +164,22 @@ impl SweepContext {
     }
 }
 
-/// Per-sample verdicts on the per-sample path: which evaluators accepted the
-/// sampled taskset, or `None` when the generator could not fill the bin
-/// for this sample.
-type UnitVerdicts = Option<Vec<bool>>;
-
 /// Per-sample verdicts on the batch path, packed: evaluator index `e` is
 /// bit `e` — the dispatch guard caps batch-path evaluator lists at 8, far
 /// above the 4 analytic series.
-type SampleMask = Option<u8>;
+type SampleMask = u8;
+
+/// Pool shards. Blocks are stateless work (the shard state is only a
+/// scratch buffer), so shards merely spread blocks across workers; 256
+/// keep any worker count ≤ 256 evenly loaded while staying cheap.
+const SHARDS: u32 = 256;
+
+/// The samples of block `block`: [`BATCH_SAMPLES`] consecutive global
+/// sample indices, the last block cut at `total_units`.
+fn block_units(block: usize, total_units: usize) -> std::ops::Range<usize> {
+    let start = block * BATCH_SAMPLES;
+    start..(start + BATCH_SAMPLES).min(total_units)
+}
 
 /// The paper's analytic series — DP (Theorem 1), GN1 (Theorem 2), GN2
 /// (Theorem 3) and the Section-6 composite (accept iff any test accepts),
@@ -198,61 +204,42 @@ pub fn run_pool_sweep(config: &PoolSweepConfig, evaluators: &[Evaluator]) -> Poo
     }
 }
 
-/// The per-sample path: each unit draws one taskset and runs every
-/// evaluator on it (analysis-kind members still use the kernel through the
-/// worker's scratch buffer).
+/// The per-sample path: each [`BATCH_SAMPLES`]-sample block draws its
+/// tasksets one at a time and runs every evaluator on each (analysis-kind
+/// members still use the kernel through the worker's scratch buffer).
 fn run_scalar_sweep(config: &PoolSweepConfig, evaluators: &[Evaluator]) -> PoolSweepOutcome {
     let context = Arc::new(SweepContext::new(config));
     let evaluators_arc: Arc<[Evaluator]> = evaluators.into();
-
-    // Stateless work: shard only spreads units across workers. 256 shards
-    // keep any worker count ≤ 256 evenly loaded while staying cheap.
-    let shards = 256u32;
-    let mut pool: ShardedPool<usize, UnitVerdicts> = ShardedPool::new(
-        PoolConfig { workers: config.workers, shards },
+    let total_units = config.bins.n * config.per_bin;
+    let mut pool: ShardedPool<usize, Vec<Option<Vec<bool>>>> = ShardedPool::new(
+        PoolConfig { workers: config.workers, shards: SHARDS },
         |_shard| ScratchSpace::new(),
         {
             let context = Arc::clone(&context);
             let evaluators = Arc::clone(&evaluators_arc);
             let obs = config.obs.clone();
-            move |scratch, _shard, unit| {
-                context.sample(unit).map(|ts| {
-                    let span = obs.span();
-                    let verdicts: Vec<bool> = evaluators
-                        .iter()
-                        .map(|ev| ev.accepts_with(&ts, &context.device, scratch))
-                        .collect();
-                    obs.record_ns("sweep/scalar/evaluate_ns", span.elapsed_ns());
-                    verdicts
-                })
+            move |scratch, _shard, block: usize| {
+                block_units(block, total_units)
+                    .map(|unit| {
+                        context.sample(unit).map(|ts| {
+                            let span = obs.span();
+                            let verdicts: Vec<bool> = evaluators
+                                .iter()
+                                .map(|ev| ev.accepts_with(&ts, &context.device, scratch))
+                                .collect();
+                            obs.record_ns("sweep/scalar/evaluate_ns", span.elapsed_ns());
+                            verdicts
+                        })
+                    })
+                    .collect()
             }
         },
     );
-    let workers = pool.workers();
-
-    let n_bins = config.bins.n;
-    let mut tally = SweepTally::new(n_bins, evaluators.len());
-    let total_units = n_bins * config.per_bin;
-    let chunk = config.chunk.max(1);
-    let mut unit = 0usize;
-    while unit < total_units {
-        let upper = (unit + chunk).min(total_units);
-        for u in unit..upper {
-            pool.submit((u % shards as usize) as u32, u);
-        }
-        let results = pool.collect().expect("pool workers cannot die: panics are contained");
-        for (offset, result) in results.into_iter().enumerate() {
-            let bin = (unit + offset) / config.per_bin;
-            match result {
-                Ok(Some(verdicts)) => tally.record_bools(bin, &verdicts),
-                Ok(None) => tally.exhausted += 1,
-                Err(_) => tally.failed += 1,
-            }
-        }
-        unit = upper;
-    }
-
-    tally.into_outcome(config, evaluators, workers)
+    let mut tally = SweepTally::new(config.bins.n, evaluators.len());
+    drive_blocks(&mut pool, config, &mut tally, |tally, bin, verdicts| {
+        tally.record_bools(bin, &verdicts)
+    });
+    tally.into_outcome(config, evaluators, pool.workers())
 }
 
 /// The batch path: each unit is a [`BATCH_SAMPLES`]-sample block packed
@@ -277,21 +264,19 @@ fn run_batched_sweep(
     let total_units = n_bins * config.per_bin;
     let series: Arc<[AnalysisSeries]> = series.into();
 
-    let shards = 256u32;
-    let mut pool: ShardedPool<usize, Vec<SampleMask>> = ShardedPool::new(
-        PoolConfig { workers: config.workers, shards },
+    let mut pool: ShardedPool<usize, Vec<Option<SampleMask>>> = ShardedPool::new(
+        PoolConfig { workers: config.workers, shards: SHARDS },
         |_shard| BlockScratch::default(),
         {
             let context = Arc::clone(&context);
             let series = Arc::clone(&series);
             let obs = config.obs.clone();
             move |scratch: &mut BlockScratch, _shard, block: usize| {
-                let start = block * BATCH_SAMPLES;
-                let end = (start + BATCH_SAMPLES).min(total_units);
-                let mut out: Vec<SampleMask> = Vec::with_capacity(end - start);
+                let units = block_units(block, total_units);
+                let mut out: Vec<Option<SampleMask>> = Vec::with_capacity(units.len());
                 let pack_span = obs.span();
                 scratch.batch.clear();
-                for unit in start..end {
+                for unit in units {
                     match context.sample(unit) {
                         Some(ts) => {
                             scratch.batch.push(&ts);
@@ -323,42 +308,48 @@ fn run_batched_sweep(
             }
         },
     );
-    let workers = pool.workers();
-
     let mut tally = SweepTally::new(n_bins, evaluators.len());
+    drive_blocks(&mut pool, config, &mut tally, |tally, bin, mask| tally.record(bin, mask));
+    tally.into_outcome(config, evaluators, pool.workers())
+}
+
+/// Submit every block in `config.chunk`-sample rounds (block `b` on shard
+/// `b mod SHARDS`), collect each round in order, and `record` every drawn
+/// sample's verdicts under its bin. A contained panic poisons its whole
+/// block: all of the block's samples count as failed.
+fn drive_blocks<V: Send + 'static>(
+    pool: &mut ShardedPool<usize, Vec<Option<V>>>,
+    config: &PoolSweepConfig,
+    tally: &mut SweepTally,
+    mut record: impl FnMut(&mut SweepTally, usize, V),
+) {
+    let total_units = config.bins.n * config.per_bin;
     let total_blocks = total_units.div_ceil(BATCH_SAMPLES);
     let blocks_per_chunk = config.chunk.max(1).div_ceil(BATCH_SAMPLES);
     let mut block = 0usize;
     while block < total_blocks {
         let upper = (block + blocks_per_chunk).min(total_blocks);
         for b in block..upper {
-            pool.submit((b % shards as usize) as u32, b);
+            pool.submit((b % SHARDS as usize) as u32, b);
         }
         let results = pool.collect().expect("pool workers cannot die: panics are contained");
-        for (offset, result) in results.into_iter().enumerate() {
-            let b = block + offset;
-            let start = b * BATCH_SAMPLES;
-            let end = (start + BATCH_SAMPLES).min(total_units);
+        for (b, result) in (block..upper).zip(results) {
+            let units = block_units(b, total_units);
             match result {
-                Ok(masks) => {
-                    debug_assert_eq!(masks.len(), end - start);
-                    for (unit, mask) in (start..end).zip(masks) {
-                        match mask {
-                            Some(mask) => tally.record(unit / config.per_bin, mask),
+                Ok(verdicts) => {
+                    debug_assert_eq!(verdicts.len(), units.len());
+                    for (unit, v) in units.zip(verdicts) {
+                        match v {
+                            Some(v) => record(tally, unit / config.per_bin, v),
                             None => tally.exhausted += 1,
                         }
                     }
                 }
-                // A contained panic poisons the whole block; the kernel
-                // itself is panic-free on validated tasksets, so this only
-                // fires on generator bugs.
-                Err(_) => tally.failed += end - start,
+                Err(_) => tally.failed += units.len(),
             }
         }
         block = upper;
     }
-
-    tally.into_outcome(config, evaluators, workers)
 }
 
 /// Bit of evaluator `e` in a [`SampleMask`].
@@ -449,7 +440,6 @@ impl SweepTally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::acceptance::{run_sweep, SweepConfig};
     use fpga_rt_analysis::{DpTest, Gn1Test};
 
     fn tiny_config(workers: usize) -> PoolSweepConfig {
@@ -490,18 +480,57 @@ mod tests {
         assert_eq!(batch.result, scalar.result);
     }
 
+    /// The reference the pool must reproduce: every sample drawn from its
+    /// own `sample_seed` stream and run through `Evaluator::accepts`, one
+    /// after another on this thread, tallied per bin.
+    fn sequential_tally(config: &PoolSweepConfig, evaluators: &[Evaluator]) -> SweepResult {
+        let generator =
+            BinnedGenerator::new(config.workload.spec, config.workload.device_columns, config.bins)
+                .with_strategy(config.strategy);
+        let device = config.workload.device();
+        let series = evaluators
+            .iter()
+            .map(|ev| AcceptanceSeries {
+                name: ev.name.clone(),
+                points: (0..config.bins.n)
+                    .map(|bin| {
+                        let mut point = SeriesPoint {
+                            utilization: config.bins.center(bin),
+                            samples: 0,
+                            accepted: 0,
+                        };
+                        for sample in 0..config.per_bin {
+                            let seed = sample_seed(config.seed, bin, sample);
+                            let mut rng = StdRng::seed_from_u64(seed);
+                            if let Some(ts) = generator.sample_in_bin(bin, &mut rng) {
+                                point.samples += 1;
+                                point.accepted += usize::from(ev.accepts(&ts, &device));
+                            }
+                        }
+                        point
+                    })
+                    .collect(),
+            })
+            .collect();
+        SweepResult {
+            workload_id: config.workload.id.to_string(),
+            caption: config.workload.caption.to_string(),
+            series,
+        }
+    }
+
     #[test]
-    fn pool_sweep_matches_scoped_thread_runner() {
-        // Same seeds, same generator, same evaluators → identical curves
-        // from both engines.
-        let evals =
-            vec![Evaluator::from_test(DpTest::default()), Evaluator::from_test(Gn1Test::default())];
-        let pooled = run_pool_sweep(&tiny_config(4), &evals);
-        let mut scoped = SweepConfig::new(FigureWorkload::fig3a(), 8, 42);
-        scoped.bins = UtilizationBins::new(0.0, 1.0, 5);
-        scoped.threads = 2;
-        let reference = run_sweep(&scoped, &evals, None);
-        assert_eq!(pooled.result, reference);
+    fn pool_sweep_matches_a_sequential_tally() {
+        let evals = vec![
+            Evaluator::analysis(AnalysisSeries::Dp),
+            Evaluator::from_test(Gn1Test::default()),
+            Evaluator::from_sim(fpga_rt_sim::SchedulerKind::EdfNf, 10.0),
+        ];
+        let config = tiny_config(4);
+        assert_eq!(run_pool_sweep(&config, &evals).result, sequential_tally(&config, &evals));
+        // The batch path (analysis-only list) agrees with the same tally.
+        let analytic = analysis_evaluators();
+        assert_eq!(run_pool_sweep(&config, &analytic).result, sequential_tally(&config, &analytic));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use fpga_rt_analysis::{DpTest, Gn1Test, Gn2Test, SchedTest};
 use fpga_rt_model::{Fpga, Rat64, TaskSet, Time};
+use fpga_rt_sim::{simulate_f64, Horizon, SchedulerKind, SimConfig};
 use serde::{Deserialize, Serialize};
 
 /// One paper table: the taskset in both numeric representations and the
@@ -128,6 +129,34 @@ pub fn render_table_case(case: &TableCase) -> String {
     out
 }
 
+/// The full Tables 1–3 report (`fpga-rt tables`): each table's verdict
+/// matrix with a synchronous-release simulation cross-check under both
+/// schedulers, then the paper's GN2 λ walkthrough for Table 3.
+pub fn render_tables_report() -> String {
+    use core::fmt::Write as _;
+    let dev = table_device();
+    let cases = paper_tables();
+    let mut out = String::new();
+    for case in &cases {
+        out.push_str(&render_table_case(case));
+        for kind in [SchedulerKind::EdfFkf, SchedulerKind::EdfNf] {
+            let cfg = SimConfig::default()
+                .with_scheduler(kind.clone())
+                .with_horizon(Horizon::PeriodsOfTmax(200.0));
+            let outcome = simulate_f64(&case.taskset, &dev, &cfg).expect("valid taskset");
+            let verdict = match outcome.first_miss() {
+                None => "no miss within 200·Tmax".to_string(),
+                Some(miss) => format!("first miss at t={:.3}", miss.time),
+            };
+            let _ = writeln!(out, "  simulation {:>8}: {verdict}", kind.name());
+        }
+        out.push('\n');
+    }
+    out.push_str("GN2 λ walkthrough for Table 3 (paper §6 worked example):\n");
+    out.push_str(&render_gn2_walkthrough(&cases[2].taskset, &dev));
+    out
+}
+
 /// Render the paper's Section-6 GN2 walkthrough for Table 3: every λ
 /// candidate and both conditions per task.
 pub fn render_gn2_walkthrough(ts: &TaskSet<f64>, device: &Fpga) -> String {
@@ -201,5 +230,8 @@ mod tests {
         assert!(s.contains("reject"));
         let w = render_gn2_walkthrough(&case.taskset, &table_device());
         assert!(w.contains("λ=0.4200"));
+        let report = render_tables_report();
+        assert_eq!(report.matches("no miss within 200·Tmax").count(), 6, "{report}");
+        assert!(report.ends_with(&w), "the walkthrough closes the report");
     }
 }

@@ -120,7 +120,18 @@ enum ServeResp {
     /// The served protocol response.
     Line(Box<Response>),
     /// One shard's accumulated statistics.
-    Drain(QueryStats),
+    Drain(ShardTotals),
+}
+
+/// One shard's decision totals.
+#[derive(Debug, Clone, Copy, Default)]
+struct ShardTotals {
+    /// Summed over the live sessions — what `stats` responses and
+    /// snapshots report.
+    live: QueryStats,
+    /// Every decision this shard took while the service ran, destroyed
+    /// sessions included — what [`ServiceCore::finish`] returns.
+    lifetime: QueryStats,
 }
 
 /// Per-shard worker state: the sessions the shard owns, plus everything
@@ -131,6 +142,11 @@ struct ShardState {
     obs: Obs,
     cache: Option<usize>,
     sessions: HashMap<String, AdmissionController>,
+    /// Totals of the destroyed sessions, folded in at `destroy`.
+    destroyed: QueryStats,
+    /// Totals that restored sessions carried in from their snapshots:
+    /// decisions taken before the restore, not by this service.
+    restored: QueryStats,
 }
 
 impl ShardState {
@@ -151,21 +167,37 @@ impl ShardState {
         self.sessions.get_mut(name).expect("just inserted")
     }
 
-    /// Sum of every live session's statistics (commutative, so map
-    /// iteration order cannot leak into the totals).
-    fn stats(&self) -> QueryStats {
-        let mut total = QueryStats::default();
+    /// Live and lifetime totals (sums commute, so map iteration order
+    /// cannot leak into them). A restored session counts only the
+    /// decisions taken after its restore, so a snapshot → destroy →
+    /// restore round trip is not counted twice.
+    fn totals(&self) -> ShardTotals {
+        let mut live = QueryStats::default();
         for controller in self.sessions.values() {
-            let s = controller.stats();
-            total.decisions += s.decisions;
-            total.accepted += s.accepted;
-            total.rejected += s.rejected;
-            total.tiers.dp_inc += s.tiers.dp_inc;
-            total.tiers.gn1 += s.tiers.gn1;
-            total.tiers.gn2 += s.tiers.gn2;
-            total.tiers.exact += s.tiers.exact;
+            merge(&mut live, &controller.stats(), u64::saturating_add);
         }
-        total
+        // Restored totals are always covered by live plus destroyed
+        // sessions; the subtraction saturates all the same.
+        let mut lifetime = live;
+        merge(&mut lifetime, &self.destroyed, u64::saturating_add);
+        merge(&mut lifetime, &self.restored, u64::saturating_sub);
+        ShardTotals { live, lifetime }
+    }
+}
+
+/// `total.x = op(total.x, other.x)` for every count `x`.
+fn merge(total: &mut QueryStats, other: &QueryStats, op: fn(u64, u64) -> u64) {
+    let pairs = [
+        (&mut total.decisions, other.decisions),
+        (&mut total.accepted, other.accepted),
+        (&mut total.rejected, other.rejected),
+        (&mut total.tiers.dp_inc, other.tiers.dp_inc),
+        (&mut total.tiers.gn1, other.tiers.gn1),
+        (&mut total.tiers.gn2, other.tiers.gn2),
+        (&mut total.tiers.exact, other.tiers.exact),
+    ];
+    for (field, value) in pairs {
+        *field = op(*field, value);
     }
 }
 
@@ -240,9 +272,11 @@ impl ServiceCore {
                 obs: ctl_obs.clone(),
                 cache,
                 sessions: HashMap::new(),
+                destroyed: QueryStats::default(),
+                restored: QueryStats::default(),
             },
             move |state, shard, req| match req {
-                ServeReq::Drain => ServeResp::Drain(state.stats()),
+                ServeReq::Drain => ServeResp::Drain(state.totals()),
                 ServeReq::Line { seq, id, snapshot_state, request } => {
                     let start = Instant::now();
                     let mut response =
@@ -565,8 +599,8 @@ impl ServiceCore {
 
         // Answer a batch-cutting `stats` line: drain every shard and fold.
         if let Some(PendingStats { conn, seq, id, echo }) = self.pending_stats.take() {
-            let drained = drain(&mut self.pool)?;
-            let snapshot = service_snapshot(&self.obs, &self.config, &drained, &self.manager);
+            let live: Vec<QueryStats> = drain(&mut self.pool)?.iter().map(|t| t.live).collect();
+            let snapshot = service_snapshot(&self.obs, &self.config, &live, &self.manager);
             let response = Response::ok("stats", seq)
                 .id(id)
                 .stats(QueryStats::from_snapshot(&snapshot))
@@ -582,30 +616,32 @@ impl ServiceCore {
         Ok(lines)
     }
 
-    /// Finish the service: final drain, fold the admission totals into the
-    /// session statistics and return them with the end-of-service
-    /// `fpga-rt-obs/1` snapshot. Errors if a batch is still open (flush
-    /// first).
+    /// Finish the service: final drain, and return the lifetime admission
+    /// totals — every decision taken while the service ran, destroyed
+    /// sessions included — with the end-of-service `fpga-rt-obs/1`
+    /// snapshot, which like a `stats` response covers the live sessions.
+    /// Errors if a batch is still open (flush first).
     pub fn finish(mut self) -> Result<(SessionStats, Snapshot), String> {
         if self.batched > 0 {
             return Err("finish with an open batch: flush first".to_string());
         }
-        // Final drain: the session totals and the end-of-session snapshot
-        // come from the same fold the `stats` op uses — the one
-        // implementation.
         let drained = drain(&mut self.pool)?;
-        let snapshot = service_snapshot(&self.obs, &self.config, &drained, &self.manager);
-        let total = QueryStats::from_snapshot(&snapshot);
-        self.stats.accepted = total.accepted;
-        self.stats.rejected = total.rejected;
-        self.stats.tiers = total.tiers;
+        let live: Vec<QueryStats> = drained.iter().map(|t| t.live).collect();
+        let snapshot = service_snapshot(&self.obs, &self.config, &live, &self.manager);
+        let mut lifetime = QueryStats::default();
+        for totals in &drained {
+            merge(&mut lifetime, &totals.lifetime, u64::saturating_add);
+        }
+        self.stats.accepted = lifetime.accepted;
+        self.stats.rejected = lifetime.rejected;
+        self.stats.tiers = lifetime.tiers;
         Ok((self.stats, snapshot))
     }
 }
 
-/// Broadcast a drain marker and gather every shard's statistics (index `i`
+/// Broadcast a drain marker and gather every shard's totals (index `i`
 /// holds shard `i`'s).
-fn drain(pool: &mut ShardedPool<ServeReq, ServeResp>) -> Result<Vec<QueryStats>, String> {
+fn drain(pool: &mut ShardedPool<ServeReq, ServeResp>) -> Result<Vec<ShardTotals>, String> {
     let results = pool.broadcast(|_| ServeReq::Drain).map_err(|e| e.to_string())?;
     let mut drained = Vec::with_capacity(results.len());
     for result in results {
@@ -665,9 +701,8 @@ fn service_snapshot(
 }
 
 /// Fold one response into the session statistics. Only protocol errors are
-/// counted here — the admission totals come from draining the shard
-/// controllers (see [`ServiceCore::finish`]), the same fold the `stats`
-/// op uses.
+/// counted here — the admission totals come from draining the shards (see
+/// [`ServiceCore::finish`]).
 fn account(stats: &mut SessionStats, response: &Response) {
     if response.error.is_some() {
         stats.errors += 1;
@@ -736,7 +771,9 @@ fn handle_request(
             response
         }
         Op::Destroy(p) => {
-            state.sessions.remove(&p.session);
+            if let Some(controller) = state.sessions.remove(&p.session) {
+                merge(&mut state.destroyed, &controller.stats(), u64::saturating_add);
+            }
             base("destroy").lifecycle("destroyed").build()
         }
         Op::Snapshot(p) => {
@@ -770,6 +807,7 @@ fn handle_request(
                     let response = with_aggregates(base("restore"), &controller)
                         .lifecycle(p.snapshot.lifecycle.clone())
                         .build();
+                    merge(&mut state.restored, &p.snapshot.stats, u64::saturating_add);
                     state.sessions.insert(p.session.clone(), controller);
                     response
                 }
@@ -869,6 +907,42 @@ mod tests {
         };
         assert_eq!(stats.requests, 3);
         assert_eq!(stats.errors, 1);
+    }
+
+    /// `stats` responses cover the live sessions while the totals
+    /// `finish` returns cover the service's lifetime; a session restored
+    /// from its own snapshot is not counted twice.
+    #[test]
+    fn lifetime_totals_count_destroyed_and_restored_sessions_once() {
+        let mut core = ServiceCore::new(&config(), Obs::off()).unwrap();
+        let conn = core.open();
+        let admit = |exec: f64| {
+            format!(
+                r#"{{"session":"a","op":"admit","task":{{"exec":{exec:?},"deadline":10.0,"period":10.0,"area":2}}}}"#
+            )
+        };
+        core.submit(conn, r#"{"session":"a","op":"create"}"#).unwrap();
+        core.submit(conn, &admit(1.0)).unwrap();
+        core.submit(conn, &admit(1.5)).unwrap();
+        core.submit(conn, r#"{"session":"a","op":"destroy"}"#).unwrap();
+        core.submit(
+            conn,
+            concat!(
+                r#"{"session":"a","op":"restore","snapshot":{"lifecycle":"active","next_handle":2,"#,
+                r#""tasks":[{"handle":1,"task":{"exec":1.5,"deadline":10.0,"period":10.0,"area":2}}],"#,
+                r#""stats":{"decisions":2,"accepted":2,"rejected":0,"tiers":{"dp_inc":2,"gn1":0,"gn2":0,"exact":0}}}}"#
+            ),
+        )
+        .unwrap();
+        core.submit(conn, &admit(0.5)).unwrap();
+        core.submit(conn, r#"{"session":"a","op":"stats"}"#).unwrap();
+        let lines = core.flush().unwrap();
+        assert!(lines.iter().all(|(_, l)| l.contains(r#""ok":true"#)), "{lines:?}");
+        // Live: the restored session's two carried-over decisions plus one.
+        assert!(lines[6].1.contains(r#""decisions":3,"accepted":3"#), "{}", lines[6].1);
+        let (stats, _) = core.finish().unwrap();
+        // Lifetime: two before the destroy, one after the restore.
+        assert_eq!((stats.accepted, stats.rejected, stats.tiers.dp_inc), (3, 0, 3));
     }
 
     #[test]

@@ -77,14 +77,16 @@ pub struct SessionStats {
     pub requests: u64,
     /// Batches processed.
     pub batches: u64,
-    /// Admissions accepted.
+    /// Admissions accepted over the service's lifetime, destroyed
+    /// sessions included.
     pub accepted: u64,
-    /// Admissions rejected.
+    /// Admissions rejected over the service's lifetime.
     pub rejected: u64,
     /// Protocol-level errors (malformed line, bad op, stale handle,
     /// lifecycle violation, ...).
     pub errors: u64,
-    /// Which cascade tier settled each admit decision.
+    /// Which cascade tier settled each admit decision, over the
+    /// service's lifetime.
     pub tiers: TierCounts,
 }
 
@@ -164,6 +166,27 @@ mod tests {
         r#"{"op":"warp"}"#,
         "\n",
     );
+
+    /// The end-of-service totals count every decision the service took:
+    /// destroying a session must not erase its admissions from them.
+    #[test]
+    fn totals_outlive_destroyed_sessions() {
+        let input = concat!(
+            r#"{"session":"a","op":"create"}"#,
+            "\n",
+            r#"{"session":"a","op":"admit","task":{"exec":1.0,"deadline":10.0,"period":10.0,"area":3}}"#,
+            "\n",
+            r#"{"session":"a","op":"admit","task":{"exec":1.0,"deadline":8.0,"period":8.0,"area":2}}"#,
+            "\n",
+            r#"{"session":"a","op":"destroy"}"#,
+            "\n",
+        );
+        let (stats, out) = run(input, &deterministic(10));
+        assert_eq!(out.matches(r#""verdict":"accept""#).count(), 2, "{out}");
+        assert_eq!((stats.requests, stats.errors), (4, 0));
+        assert_eq!((stats.accepted, stats.rejected), (2, 0));
+        assert_eq!(stats.tiers.dp_inc, 2);
+    }
 
     #[test]
     fn basic_session_flow() {
